@@ -1,9 +1,10 @@
 /// \file bench_micro.cpp
 /// google-benchmark microbenchmarks for the hot paths of every substrate:
-/// DES event throughput, max-min fairness recomputation, CRUSH placement,
-/// scheduler passes, Redis ops, union-find connected components, and the
-/// FFN conv3d kernel. These guard the performance envelope that makes the
-/// paper-scale simulations (112k transfers, 2.3e10 voxels) run in seconds.
+/// CRUSH placement, scheduler passes, Redis ops, union-find connected
+/// components, and the FFN conv3d kernel. These guard the performance
+/// envelope that makes the paper-scale simulations (112k transfers, 2.3e10
+/// voxels) run in seconds. DES dispatch and the max-min fill have no case
+/// here: bench_core_throughput's rungs measure them end to end.
 
 #include <benchmark/benchmark.h>
 
@@ -18,41 +19,6 @@
 #include "util/rng.hpp"
 
 using namespace chase;
-
-static void BM_SimEventThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulation simulation;
-    const int n = static_cast<int>(state.range(0));
-    for (int i = 0; i < n; ++i) {
-      simulation.schedule(static_cast<double>(i % 97), [] {});
-    }
-    simulation.run();
-    benchmark::DoNotOptimize(simulation.events_processed());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SimEventThroughput)->Arg(10000)->Arg(100000);
-
-static void BM_MaxMinRecompute(benchmark::State& state) {
-  // N concurrent flows across a 3-hop topology; each add triggers a full
-  // progressive-filling recompute.
-  const int flows = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::Simulation simulation;
-    net::Network network(simulation);
-    auto a = network.add_node("a");
-    auto s1 = network.add_node("s1");
-    auto s2 = network.add_node("s2");
-    auto b = network.add_node("b");
-    network.add_link(a, s1, 1e9, 0);
-    network.add_link(s1, s2, 1e9, 0);
-    network.add_link(s2, b, 1e9, 0);
-    for (int i = 0; i < flows; ++i) network.transfer(a, b, 1'000'000);
-    simulation.run();
-  }
-  state.SetItemsProcessed(state.iterations() * flows);
-}
-BENCHMARK(BM_MaxMinRecompute)->Arg(64)->Arg(256);
 
 static void BM_CrushPlacement(benchmark::State& state) {
   sim::Simulation simulation;

@@ -279,14 +279,12 @@ void ConnectWorkflow::build() {
           co_await prep_job->done->wait(ctx->sim());
         }
 
-        // Trainer pod(s).
+        // Trainer pod: one 1080ti (Table I).
         const int gpus_per_pod = 1;
         kube::JobSpec train;
         train.ns = ctx->ns();
         train.name = "train";
         train.labels = ctx->step_labels();
-        train.completions = p.train_gpus;
-        train.parallelism = p.train_gpus;
         kube::ContainerSpec c;
         c.name = "trainer";
         c.image = "tensorflow/ffn";
@@ -308,15 +306,9 @@ void ConnectWorkflow::build() {
             co_await pctx.compute(prep_seconds, 1.0);
           }
           // FFN training (Fig. 5, green).
-          const double single_gpu_s =
+          co_await pctx.gpu_compute(
               pp.cost.training_seconds(cluster::GpuModel::GTX1080Ti, 1) *
-              st->time_scale();
-          // Sync-SGD scaling: K workers split the steps but pay all-reduce
-          // overhead per extra worker. Each pod runs the whole wall-clock.
-          const double speedup =
-              pp.train_gpus /
-              (1.0 + (pp.train_gpus - 1) * (1.0 - pp.dist_train_efficiency));
-          co_await pctx.gpu_compute(single_gpu_s / speedup);
+              st->time_scale());
           // Persist the trained model + parameters to the Ceph Object Store.
           // First finisher writes; a name-based gate would lose the
           // checkpoint whenever the designated pod is evicted and replaced.

@@ -49,10 +49,6 @@ struct ConnectWorkflowParams {
   /// phase); §III-E1's distributed variant splits this across workers.
   double prep_bytes_per_second = 66e6;
   int prep_workers = 1;   // ablation A4 (distributed pre-processing)
-  int train_gpus = 1;     // ablation A5 (distributed training); >1 uses a
-                          // sync-SGD ReplicaSet with all-reduce overhead
-  /// Communication efficiency per additional worker for distributed training.
-  double dist_train_efficiency = 0.88;
 
   // --- step 3: inference --------------------------------------------------------
   int inference_gpus = 50;

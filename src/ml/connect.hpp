@@ -7,10 +7,9 @@
 /// entire life-cycle of a detected earth science phenomena": genesis,
 /// pathway, and termination.
 ///
-/// Implemented with a union-find over the voxel grid; optionally
-/// multithreaded (label rows in parallel, then merge), since our substitute
-/// for "a single CPU, limited memory" baseline must also serve as a fair
-/// small-scale comparator to the FFN.
+/// Implemented with a serial union-find over the voxel grid: like the
+/// paper's "single CPU, limited memory" baseline, it runs on one core, and
+/// it also serves as a fair small-scale comparator to the FFN.
 
 #include <cstdint>
 #include <vector>

@@ -1,4 +1,3 @@
-#include <cstdio>
 #include "net/network.hpp"
 
 #include <algorithm>
@@ -8,38 +7,6 @@
 #include "util/check.hpp"
 
 namespace chase::net {
-
-#ifdef CHASE_NET_STATS
-#include <x86intrin.h>
-namespace {
-struct NetStats {
-  unsigned long long rc = 0, fills = 0, flows = 0, links = 0, twins = 0,
-      rounds = 0, scans = 0, collect_cy = 0, build_cy = 0, round_cy = 0,
-      apply_cy = 0, total_cy = 0;
-  ~NetStats() {
-    if (!rc) return;
-    auto f = [&](const char* n, unsigned long long cy) {
-      std::fprintf(stderr, "  %-10s %8.2f Mcy  %6.0f cy/rc\n", n, cy / 1e6,
-                   (double)cy / rc);
-    };
-    std::fprintf(stderr,
-                 "net-stats: rc=%llu fills=%llu (%.2f/rc) flows/fill=%.1f "
-                 "links/fill=%.1f twins/fill=%.1f rounds/fill=%.1f scans/fill=%.1f\n",
-                 rc, fills, (double)fills / rc, (double)flows / fills,
-                 (double)links / fills, (double)twins / fills,
-                 (double)rounds / fills, (double)scans / fills);
-    f("collect", collect_cy); f("build", build_cy); f("rounds", round_cy);
-    f("apply", apply_cy); f("total", total_cy);
-  }
-};
-NetStats g_netstats;
-}  // namespace
-#define NETSTAT(field, amt) (g_netstats.field += (amt))
-#define NETSTAT_TSC() __rdtsc()
-#else
-#define NETSTAT(field, amt) ((void)0)
-#define NETSTAT_TSC() 0ULL
-#endif
 
 namespace {
 constexpr double kByteEpsilon = 0.5;  // flows within half a byte are done
@@ -446,11 +413,6 @@ void Network::fill_component() {
   // bitwise, so discovery order — incremental seed vs. full sweep — cannot
   // affect a single bit of the computed rates (DESIGN.md "Incremental
   // max-min rate updates").
-  NETSTAT(fills, 1);
-  NETSTAT(flows, fl_ptr_.size());
-  NETSTAT(links, comp_links_.size());
-  NETSTAT(twins, twin_count_);
-  [[maybe_unused]] const unsigned long long t0_ = NETSTAT_TSC();
   const std::uint32_t n = static_cast<std::uint32_t>(fl_ptr_.size());
   {
     std::uint32_t off = 0;
@@ -512,8 +474,6 @@ void Network::fill_component() {
   fl_new_.resize(n);
   fl_frozen_.assign(n, 0);
   dirty_.clear();
-  NETSTAT(build_cy, NETSTAT_TSC() - t0_);
-  [[maybe_unused]] const unsigned long long t1_ = NETSTAT_TSC();
   std::uint32_t unfrozen = n + twin_count_;
   // Deferred level refresh with dedup: a dirtied slot's level is parked at
   // the -1.0 sentinel (real levels are >= 0) so each link is divided at
@@ -557,7 +517,6 @@ void Network::fill_component() {
   bool need_scan = true;
   while (unfrozen > 0) {
     if (need_scan) {
-      NETSTAT(rounds, 1);
       for (LinkId l : dirty_) {
         LinkFill& lf = link_fill_[l];
         levels_[lf.mcur] = lf.count > 0 ? lf.residual / lf.count : kInf;
@@ -585,7 +544,6 @@ void Network::fill_component() {
       // as a lazy heap of superseded levels would.
       share = kInf;
       bottleneck = -1;
-      NETSTAT(scans, live);
       for (std::uint32_t j = 0; j < live; ++j) {
         const double lv = levels_[j];
         if (lv > share) continue;
@@ -711,11 +669,9 @@ void Network::fill_component() {
       }
     }
   }
-  NETSTAT(round_cy, NETSTAT_TSC() - t1_);
 }
 
 void Network::apply_component() {
-  [[maybe_unused]] const unsigned long long t0_ = NETSTAT_TSC();
   const double now = sim_.now();
   const std::uint32_t n = static_cast<std::uint32_t>(fl_ptr_.size());
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -737,7 +693,6 @@ void Network::apply_component() {
                       : (rate > 0.0 ? now + f->remaining / rate : kInf);
     eta_update(f);
   }
-  NETSTAT(apply_cy, NETSTAT_TSC() - t0_);
 }
 
 void Network::recompute_scope() {
@@ -753,8 +708,6 @@ void Network::recompute_scope() {
   }
   seed_links_.clear();
   if (scope_links_.empty()) return;
-  NETSTAT(rc, 1);
-  [[maybe_unused]] const unsigned long long trc_ = NETSTAT_TSC();
   // Fixpoint expansion: fill over S plus its boundary ring, then grow S
   // along the paths of flows whose computed rate changed bitwise, and
   // refill. Every flow on an S link participates fully; each out-of-scope
@@ -769,7 +722,6 @@ void Network::recompute_scope() {
   // degenerates to the full fill.
   while (true) {
     ++scope_epoch_;
-    [[maybe_unused]] const unsigned long long tc_ = NETSTAT_TSC();
     soa_clear();
     comp_links_.clear();
     {
@@ -867,7 +819,6 @@ void Network::recompute_scope() {
         }
       }
     }
-    NETSTAT(collect_cy, NETSTAT_TSC() - tc_);
     fill_component();
     bool grew = false;
     const std::uint32_t n = static_cast<std::uint32_t>(fl_ptr_.size());
@@ -895,7 +846,6 @@ void Network::recompute_scope() {
     if (!grew) break;
   }
   apply_component();
-  NETSTAT(total_cy, NETSTAT_TSC() - trc_);
 }
 
 bool Network::rates_match_full_recompute() {

@@ -383,7 +383,9 @@ class Network {
   /// ones. Passes that carry real (finite rate_cap) entries fall back to
   /// the monolithic sorted list with twins as full participants, because a
   /// real cap can interleave with twin caps on a shared link (the
-  /// full-recompute reference is always monolithic).
+  /// full-recompute reference is always monolithic). Both paths stay on
+  /// purpose: routing uncapped passes through the monolithic list halves
+  /// churn throughput (DESIGN.md "Why both fill formulations stay").
   struct CapRun {
     std::uint32_t begin = 0, end = 0, at = 0;
     LinkId link = -1;

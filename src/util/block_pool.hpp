@@ -14,8 +14,9 @@
 /// cap, blocks return to the system.
 ///
 /// Thread-safe via a mutex: the simulation itself is single-threaded, but
-/// util::ThreadPool users may touch pooled objects, and an uncontended
-/// lock is a few nanoseconds — noise next to the allocation it replaces.
+/// the pool is a public process-wide singleton that any thread can reach,
+/// and an uncontended lock is a few nanoseconds — noise next to the
+/// allocation it replaces.
 
 #include <array>
 #include <cstddef>

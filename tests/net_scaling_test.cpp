@@ -10,7 +10,8 @@
 ///
 ///   * bit-identical rates vs. a from-scratch progressive filling after
 ///     every mutation (rates_match_full_recompute), across >= 100 random
-///     topology/churn schedules including link flaps and degradations;
+///     topology/churn schedules including link flaps and degradations,
+///     with uncapped and with rate-capped arrivals;
 ///   * exact byte conservation under lazy per-flow settlement;
 ///   * bit-identical event traces across replays, including chaos-style
 ///     link flap schedules (the determinism contract that bench_compare
@@ -91,16 +92,14 @@ struct RandomTopo {
   }
 };
 
-}  // namespace
-
-// The core property: after EVERY mutation the incremental rates are
-// bit-identical to a from-scratch progressive filling over all components.
-// 120 random seeds x ~30 mutations each — flow arrivals (the scoped
-// recompute's add path), drained completions (the remove path), link flaps
-// (fail + re-rate), and bandwidth degradation (re-rate in place).
-TEST(NetScaling, RandomChurnMatchesFullRecompute) {
+/// One pass of the churn property: 120 seeded schedules (seed_base + i) of
+/// ~30 mutations each. `capped_share` of arrivals carry a finite rate_cap
+/// of 5-150 B/s, below most link capacities, so the fill mixes real caps
+/// with boundary twins; 0 keeps every arrival uncapped and draws nothing
+/// extra from the schedule's Rng.
+void churn_matches_full_recompute(std::uint64_t seed_base, double capped_share) {
   for (std::uint64_t seed = 0; seed < 120; ++seed) {
-    cu::Rng rng(0xABCD0000ULL + seed);
+    cu::Rng rng(seed_base + seed);
     const int n = 3 + static_cast<int>(rng.uniform_u64(8));
     RandomTopo w(rng, n);
 
@@ -113,8 +112,12 @@ TEST(NetScaling, RandomChurnMatchesFullRecompute) {
         auto src = w.pick_node(rng);
         auto dst = w.pick_node(rng);
         if (src == dst) dst = w.nodes[(static_cast<std::size_t>(dst) + 1) % w.nodes.size()];
-        handles.push_back(w.net.transfer(
-            src, dst, static_cast<cu::Bytes>(rng.uniform(1e3, 5e4))));
+        const auto bytes = static_cast<cu::Bytes>(rng.uniform(1e3, 5e4));
+        cn::TransferOptions opts;
+        if (capped_share > 0.0 && rng.uniform() < capped_share) {
+          opts.rate_cap = rng.uniform(5.0, 150.0);
+        }
+        handles.push_back(w.net.transfer(src, dst, bytes, opts));
       } else if (roll < 0.75) {
         // Completion churn: run the event loop a little so some flows
         // finish and their removal re-runs the scoped recompute.
@@ -142,6 +145,26 @@ TEST(NetScaling, RandomChurnMatchesFullRecompute) {
     ASSERT_TRUE(w.net.rates_match_full_recompute()) << "seed " << seed << " (drained)";
     ASSERT_EQ(w.net.active_flows(), 0u) << "seed " << seed;
     w.net.check_invariants();
+  }
+}
+
+}  // namespace
+
+// The core property: after EVERY mutation the incremental rates are
+// bit-identical to a from-scratch progressive filling over all components,
+// across flow arrivals (the scoped recompute's add path), drained
+// completions (the remove path), link flaps (fail + re-rate), and
+// bandwidth degradation (re-rate in place). Uncapped arrivals take the
+// lean-twin cap-run fill; the capped pass puts real rate caps in most
+// fills, which routes boundary twins through the monolithic sorted path.
+TEST(NetScaling, RandomChurnMatchesFullRecompute) {
+  {
+    SCOPED_TRACE("uncapped arrivals");
+    ASSERT_NO_FATAL_FAILURE(churn_matches_full_recompute(0xABCD0000ULL, 0.0));
+  }
+  {
+    SCOPED_TRACE("40% capped arrivals");
+    ASSERT_NO_FATAL_FAILURE(churn_matches_full_recompute(0xCA900000ULL, 0.4));
   }
 }
 

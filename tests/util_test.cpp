@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <numeric>
 #include <set>
 #include <vector>
 
@@ -10,7 +8,6 @@
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace cu = chase::util;
@@ -116,38 +113,6 @@ TEST(Rng, ForkIndependence) {
   cu::Rng parent(5);
   cu::Rng child = parent.fork();
   EXPECT_NE(parent.next_u64(), child.next_u64());
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  cu::ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, 1000, [&](std::size_t i) { hits[i]++; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, EmptyRange) {
-  cu::ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for(5, 5, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPool, SubmitAndWait) {
-  cu::ThreadPool pool(2);
-  std::atomic<int> n{0};
-  for (int i = 0; i < 50; ++i) pool.submit([&] { n++; });
-  pool.wait_idle();
-  EXPECT_EQ(n.load(), 50);
-}
-
-TEST(ThreadPool, ParallelSumMatchesSerial) {
-  cu::ThreadPool pool(4);
-  std::vector<double> xs(10000);
-  std::iota(xs.begin(), xs.end(), 0.0);
-  std::vector<double> partial(10000, 0.0);
-  pool.parallel_for(0, xs.size(), [&](std::size_t i) { partial[i] = xs[i] * 2; });
-  double total = std::accumulate(partial.begin(), partial.end(), 0.0);
-  EXPECT_DOUBLE_EQ(total, 9999.0 * 10000.0);
 }
 
 TEST(Histogram, MeanMinMax) {

@@ -12,9 +12,9 @@
 /// stray OS-thread interaction) shows up as a hash mismatch, and the block
 /// index narrows down where the traces forked.
 ///
-/// Run it under the `tsan` preset to additionally catch real data races in
-/// util::ThreadPool users, and with CHASE_AUDIT_LEVEL=2 to sweep every
-/// subsystem's check_invariants() at each checkpoint along the way.
+/// Run it under the `tsan` preset to additionally catch real data races,
+/// and with CHASE_AUDIT_LEVEL=2 to sweep every subsystem's
+/// check_invariants() at each checkpoint along the way.
 ///
 ///   $ build/tools/determinism_check --seed 1 --seed 2
 ///   $ build/tools/determinism_check --runs 3 --data-fraction 0.01 --audit
