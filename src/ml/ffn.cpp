@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "util/check.hpp"
+
 namespace chase::ml {
 
 namespace {
@@ -31,6 +33,120 @@ void add_into(Tensor4& dst, const Tensor4& src) {
   for (std::size_t i = 0; i < dst.size(); ++i) d[i] += s[i];
 }
 
+// Conv3d runs as loops over x-contiguous rows of length n >= 1. The callers
+// resolve the z and y bounds once per output row and hand over the R = 1..3
+// source rows (consecutive in memory, stride n) whose dy is in range; these
+// helpers peel the two x edges, so their inner loops test no bounds. Every
+// accumulator keeps the order in which the straightforward per-voxel,
+// per-tap loop adds its terms, which keeps the results bit-identical to it
+// (DESIGN.md "FFN conv kernels"). The sums are spelled out left to right:
+// without -ffast-math the compiler may not reassociate them.
+
+/// One output row `acc` += R source rows of 3 taps each: for r ascending,
+/// k[3r]*src_r[i-1], then k[3r+1]*src_r[i], then k[3r+2]*src_r[i+1],
+/// skipping the terms whose index falls outside [0, n).
+template <int R>
+void add_row_taps(float* acc, const float* src, const float* k, int n) {
+  // A local copy, so stores through acc cannot alias the taps and force
+  // them to be reloaded.
+  float kk[3 * R];
+  for (int j = 0; j < 3 * R; ++j) kk[j] = k[j];
+  if (n == 1) {
+    float a = acc[0];
+    for (int r = 0; r < R; ++r) a = a + kk[3 * r + 1] * src[r];
+    acc[0] = a;
+    return;
+  }
+  float a = acc[0];
+  for (int r = 0; r < R; ++r) {
+    const float* s = src + r * n;
+    a = a + kk[3 * r + 1] * s[0] + kk[3 * r + 2] * s[1];
+  }
+  acc[0] = a;
+  for (int i = 1; i < n - 1; ++i) {
+    a = acc[i];
+    for (int r = 0; r < R; ++r) {
+      const float* s = src + r * n;
+      a = a + kk[3 * r] * s[i - 1] + kk[3 * r + 1] * s[i] + kk[3 * r + 2] * s[i + 1];
+    }
+    acc[i] = a;
+  }
+  a = acc[n - 1];
+  for (int r = 0; r < R; ++r) {
+    const float* s = src + r * n;
+    a = a + kk[3 * r] * s[n - 2] + kk[3 * r + 1] * s[n - 1];
+  }
+  acc[n - 1] = a;
+}
+
+/// out[o,v] += k[o][i][tap] * in[i, v+tap] over the taps in (i, dz, dy, dx)
+/// order, skipping out-of-range taps. `k` is laid out like Conv3d::w, and
+/// `out` is pre-initialised and shaped like `in` with k's output channels.
+void add_conv(const Tensor4& in, const float* k, Tensor4& out) {
+  const int nx = in.nx(), ny = in.ny(), nz = in.nz();
+  const int in_c = in.channels();
+  for (int o = 0; o < out.channels(); ++o) {
+    for (int z = 0; z < nz; ++z) {
+      for (int yy = 0; yy < ny; ++yy) {
+        float* acc = out.data() + out.index(o, 0, yy, z);
+        const int dy_lo = yy > 0 ? -1 : 0;
+        const int dy_hi = yy + 1 < ny ? 1 : 0;
+        for (int i = 0; i < in_c; ++i) {
+          for (int dz = -1; dz <= 1; ++dz) {
+            const int sz = z + dz;
+            if (sz < 0 || sz >= nz) continue;
+            const float* taps =
+                k + ((static_cast<std::size_t>(o) * in_c + i) * 9 + (dz + 1) * 3 + (dy_lo + 1)) * 3;
+            const float* src = in.data() + in.index(i, 0, yy + dy_lo, sz);
+            switch (dy_hi - dy_lo + 1) {
+              case 1: add_row_taps<1>(acc, src, taps, nx); break;
+              case 2: add_row_taps<2>(acc, src, taps, nx); break;
+              default: add_row_taps<3>(acc, src, taps, nx); break;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Weight gradients from one output row of g: for each of the R source rows
+/// and each tap j, k[3r+j] += g[i]*src_r[i+j-1] over i ascending, skipping
+/// every i with g[i] == 0 and the terms whose index falls outside [0, n).
+/// The 3R accumulators stay in registers across the row.
+template <int R>
+void add_row_grads(float* k, const float* g, const float* src, int n) {
+  float a[3 * R];
+  for (int j = 0; j < 3 * R; ++j) a[j] = k[j];
+  const float g0 = g[0];
+  if (g0 != 0.f) {
+    for (int r = 0; r < R; ++r) {
+      const float* s = src + r * n;
+      a[3 * r + 1] += g0 * s[0];
+      if (n > 1) a[3 * r + 2] += g0 * s[1];
+    }
+  }
+  for (int i = 1; i < n - 1; ++i) {
+    const float gi = g[i];
+    if (gi == 0.f) continue;
+    for (int r = 0; r < R; ++r) {
+      const float* s = src + r * n;
+      a[3 * r] += gi * s[i - 1];
+      a[3 * r + 1] += gi * s[i];
+      a[3 * r + 2] += gi * s[i + 1];
+    }
+  }
+  if (n > 1 && g[n - 1] != 0.f) {
+    const float gl = g[n - 1];
+    for (int r = 0; r < R; ++r) {
+      const float* s = src + r * n;
+      a[3 * r] += gl * s[n - 2];
+      a[3 * r + 1] += gl * s[n - 1];
+    }
+  }
+  for (int j = 0; j < 3 * R; ++j) k[j] = a[j];
+}
+
 }  // namespace
 
 // --- Conv3d ---------------------------------------------------------------------
@@ -46,69 +162,84 @@ void Conv3d::init(int in_channels, int out_channels, util::Rng& rng) {
 }
 
 void Conv3d::forward(const Tensor4& x, Tensor4& y) const {
-  const int nx = x.nx(), ny = x.ny(), nz = x.nz();
-  y = Tensor4(out_c, nx, ny, nz);
+  const bool x_ok = x.channels() == in_c;
+  CHASE_ASSERT(x_ok, "Conv3d::forward: x has the wrong channel count");
+  if (!x_ok) return;
+  y = Tensor4(out_c, x.nx(), x.ny(), x.nz());
+  if (y.size() == 0) return;
+  // y[oc,v] starts at b[oc], then adds w*x over the taps in (ic, dz, dy, dx)
+  // order.
   for (int oc = 0; oc < out_c; ++oc) {
-    for (int z = 0; z < nz; ++z) {
-      for (int yy = 0; yy < ny; ++yy) {
-        for (int xx = 0; xx < nx; ++xx) {
-          float acc = b[static_cast<std::size_t>(oc)];
-          for (int ic = 0; ic < in_c; ++ic) {
-            for (int dz = -1; dz <= 1; ++dz) {
-              const int sz = z + dz;
-              if (sz < 0 || sz >= nz) continue;
-              for (int dy = -1; dy <= 1; ++dy) {
-                const int sy = yy + dy;
-                if (sy < 0 || sy >= ny) continue;
-                for (int dx = -1; dx <= 1; ++dx) {
-                  const int sx = xx + dx;
-                  if (sx < 0 || sx >= nx) continue;
-                  acc += w[weight_index(oc, ic, dz, dy, dx)] * x.at(ic, sx, sy, sz);
-                }
-              }
-            }
-          }
-          y.at(oc, xx, yy, z) = acc;
-        }
-      }
-    }
+    std::fill_n(y.channel(oc), y.voxels(), b[static_cast<std::size_t>(oc)]);
   }
+  add_conv(x, w.data(), y);
 }
 
 void Conv3d::backward(const Tensor4& x, const Tensor4& dy, Tensor4* dx,
                       std::vector<float>& dw, std::vector<float>& db) const {
+  const bool x_ok = x.channels() == in_c;
+  const bool dy_ok = dy.channels() == out_c;
+  const bool dims_ok = dy.nx() == x.nx() && dy.ny() == x.ny() && dy.nz() == x.nz();
+  const bool dw_ok = dw.size() == w.size();
+  const bool db_ok = db.size() == b.size();
+  CHASE_ASSERT(x_ok, "Conv3d::backward: x has the wrong channel count");
+  CHASE_ASSERT(dy_ok, "Conv3d::backward: dy has the wrong channel count");
+  CHASE_ASSERT(dims_ok, "Conv3d::backward: dy and x differ in shape");
+  CHASE_ASSERT(dw_ok, "Conv3d::backward: dw is not sized like w");
+  CHASE_ASSERT(db_ok, "Conv3d::backward: db is not sized like b");
+  if (!(x_ok && dy_ok && dims_ok && dw_ok && db_ok)) return;
   const int nx = x.nx(), ny = x.ny(), nz = x.nz();
   if (dx != nullptr) *dx = Tensor4(in_c, nx, ny, nz);
-  assert(dw.size() == w.size() && db.size() == b.size());
+  if (x.voxels() == 0) return;
+
+  // dw and db: each accumulator adds its terms over output voxels in
+  // (z, y, x) order, skipping g == 0 and out-of-range taps.
   for (int oc = 0; oc < out_c; ++oc) {
+    float bias_grad = db[static_cast<std::size_t>(oc)];
     for (int z = 0; z < nz; ++z) {
       for (int yy = 0; yy < ny; ++yy) {
-        for (int xx = 0; xx < nx; ++xx) {
-          const float g = dy.at(oc, xx, yy, z);
-          if (g == 0.f) continue;
-          db[static_cast<std::size_t>(oc)] += g;
-          for (int ic = 0; ic < in_c; ++ic) {
-            for (int dz = -1; dz <= 1; ++dz) {
-              const int sz = z + dz;
-              if (sz < 0 || sz >= nz) continue;
-              for (int dy2 = -1; dy2 <= 1; ++dy2) {
-                const int sy = yy + dy2;
-                if (sy < 0 || sy >= ny) continue;
-                for (int dx2 = -1; dx2 <= 1; ++dx2) {
-                  const int sx = xx + dx2;
-                  if (sx < 0 || sx >= nx) continue;
-                  dw[weight_index(oc, ic, dz, dy2, dx2)] += g * x.at(ic, sx, sy, sz);
-                  if (dx != nullptr) {
-                    dx->at(ic, sx, sy, sz) += g * w[weight_index(oc, ic, dz, dy2, dx2)];
-                  }
-                }
-              }
+        const float* g = dy.data() + dy.index(oc, 0, yy, z);
+        for (int i = 0; i < nx; ++i) {
+          const float gi = g[i];
+          if (gi != 0.f) bias_grad += gi;
+        }
+        const int dy_lo = yy > 0 ? -1 : 0;
+        const int dy_hi = yy + 1 < ny ? 1 : 0;
+        for (int ic = 0; ic < in_c; ++ic) {
+          for (int dz = -1; dz <= 1; ++dz) {
+            const int sz = z + dz;
+            if (sz < 0 || sz >= nz) continue;
+            float* k = &dw[weight_index(oc, ic, dz, dy_lo, -1)];
+            const float* src = x.data() + x.index(ic, 0, yy + dy_lo, sz);
+            switch (dy_hi - dy_lo + 1) {
+              case 1: add_row_grads<1>(k, g, src, nx); break;
+              case 2: add_row_grads<2>(k, g, src, nx); break;
+              default: add_row_grads<3>(k, g, src, nx); break;
             }
           }
         }
       }
     }
+    db[static_cast<std::size_t>(oc)] = bias_grad;
   }
+  if (dx == nullptr) return;
+
+  // dx is a transposed conv: dx[ic,s] adds g*w with oc ascending and, within
+  // each oc, the taps in reverse (dz, dy, dx) order, the order in which a
+  // loop over output voxels in (z, y, x) order reaches s. That is a forward
+  // conv of dy with the kernel transposed in (oc, ic) and flipped in space.
+  // Unlike dw, this pass adds the g == 0 terms. With finite weights each is
+  // +-0, and adding +-0 to a round-to-nearest sum that starts at +0, as the
+  // fresh dx does, never changes it: such a sum is never -0.
+  std::vector<float> flipped(w.size());
+  for (int oc = 0; oc < out_c; ++oc) {
+    for (int ic = 0; ic < in_c; ++ic) {
+      const float* from = &w[weight_index(oc, ic, -1, -1, -1)];
+      float* to = &flipped[(static_cast<std::size_t>(ic) * out_c + oc) * 27];
+      std::reverse_copy(from, from + 27, to);
+    }
+  }
+  add_conv(dy, flipped.data(), *dx);
 }
 
 // --- FfnModel -------------------------------------------------------------------

@@ -41,10 +41,15 @@ struct Conv3d {
                3 +
            (dx + 1);
   }
+  /// `x` must have in_c channels; a mismatch is reported through
+  /// CHASE_ASSERT and leaves `y` untouched. Bit-identical to the per-voxel,
+  /// per-tap loop (DESIGN.md "FFN conv kernels").
   void forward(const Tensor4& x, Tensor4& y) const;
   /// Accumulate dL/dw, dL/db from dL/dy into pre-sized `dw`/`db` (+=, so a
   /// caller can fold several examples into one buffer). `dx` is overwritten
-  /// with dL/dx; it may be null (input layer).
+  /// with dL/dx; it may be null (input layer). `dy` must be shaped like `x`
+  /// with out_c channels; any shape mismatch is reported through
+  /// CHASE_ASSERT and nothing is written.
   void backward(const Tensor4& x, const Tensor4& dy, Tensor4* dx, std::vector<float>& dw,
                 std::vector<float>& db) const;
   /// Multiply-accumulate count for one forward pass over `voxels`.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -12,6 +13,7 @@
 #include "ml/ffn_infer.hpp"
 #include "ml/synth.hpp"
 #include "ml/volume.hpp"
+#include "util/check.hpp"
 
 namespace ml = chase::ml;
 namespace cc = chase::cluster;
@@ -356,6 +358,221 @@ TEST(Conv3d, GradientMatchesFiniteDifference) {
     conv.w[i] = saved;
     const double numeric = (lp - lm) / (2 * eps);
     EXPECT_NEAR(numeric, dw[i], 2e-2) << "weight grad " << i;
+  }
+}
+
+namespace {
+
+// The straightforward 7-deep scalar Conv3d loops, kept verbatim as the
+// bitwise reference for the row kernels in ml/ffn.cpp: every accumulator
+// there must add the same terms in the same order as here.
+void reference_forward(const ml::Conv3d& conv, const ml::Tensor4& x, ml::Tensor4& y) {
+  const int in_c = conv.in_c, out_c = conv.out_c;
+  const std::vector<float>& w = conv.w;
+  const std::vector<float>& b = conv.b;
+  const auto weight_index = [&conv](int oc, int ic, int dz, int dy, int dx) {
+    return conv.weight_index(oc, ic, dz, dy, dx);
+  };
+  const int nx = x.nx(), ny = x.ny(), nz = x.nz();
+  y = ml::Tensor4(out_c, nx, ny, nz);
+  for (int oc = 0; oc < out_c; ++oc) {
+    for (int z = 0; z < nz; ++z) {
+      for (int yy = 0; yy < ny; ++yy) {
+        for (int xx = 0; xx < nx; ++xx) {
+          float acc = b[static_cast<std::size_t>(oc)];
+          for (int ic = 0; ic < in_c; ++ic) {
+            for (int dz = -1; dz <= 1; ++dz) {
+              const int sz = z + dz;
+              if (sz < 0 || sz >= nz) continue;
+              for (int dy = -1; dy <= 1; ++dy) {
+                const int sy = yy + dy;
+                if (sy < 0 || sy >= ny) continue;
+                for (int dx = -1; dx <= 1; ++dx) {
+                  const int sx = xx + dx;
+                  if (sx < 0 || sx >= nx) continue;
+                  acc += w[weight_index(oc, ic, dz, dy, dx)] * x.at(ic, sx, sy, sz);
+                }
+              }
+            }
+          }
+          y.at(oc, xx, yy, z) = acc;
+        }
+      }
+    }
+  }
+}
+
+void reference_backward(const ml::Conv3d& conv, const ml::Tensor4& x, const ml::Tensor4& dy,
+                        ml::Tensor4* dx, std::vector<float>& dw, std::vector<float>& db) {
+  const int in_c = conv.in_c, out_c = conv.out_c;
+  const std::vector<float>& w = conv.w;
+  const auto weight_index = [&conv](int oc, int ic, int dz, int dy, int dx) {
+    return conv.weight_index(oc, ic, dz, dy, dx);
+  };
+  const int nx = x.nx(), ny = x.ny(), nz = x.nz();
+  if (dx != nullptr) *dx = ml::Tensor4(in_c, nx, ny, nz);
+  for (int oc = 0; oc < out_c; ++oc) {
+    for (int z = 0; z < nz; ++z) {
+      for (int yy = 0; yy < ny; ++yy) {
+        for (int xx = 0; xx < nx; ++xx) {
+          const float g = dy.at(oc, xx, yy, z);
+          if (g == 0.f) continue;
+          db[static_cast<std::size_t>(oc)] += g;
+          for (int ic = 0; ic < in_c; ++ic) {
+            for (int dz = -1; dz <= 1; ++dz) {
+              const int sz = z + dz;
+              if (sz < 0 || sz >= nz) continue;
+              for (int dy2 = -1; dy2 <= 1; ++dy2) {
+                const int sy = yy + dy2;
+                if (sy < 0 || sy >= ny) continue;
+                for (int dx2 = -1; dx2 <= 1; ++dx2) {
+                  const int sx = xx + dx2;
+                  if (sx < 0 || sx >= nx) continue;
+                  dw[weight_index(oc, ic, dz, dy2, dx2)] += g * x.at(ic, sx, sy, sz);
+                  if (dx != nullptr) {
+                    dx->at(ic, sx, sy, sz) += g * w[weight_index(oc, ic, dz, dy2, dx2)];
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+bool same_bits(const ml::Tensor4& a, const ml::Tensor4& b) {
+  return a.channels() == b.channels() && a.nx() == b.nx() && a.ny() == b.ny() &&
+         a.nz() == b.nz() &&
+         (a.size() == 0 || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// Records check failures instead of aborting, for the duration of a scope.
+struct CaptureFailures {
+  std::vector<chase::util::CheckContext> failures;
+  chase::util::CheckFailureHandler prev;
+  CaptureFailures() {
+    prev = chase::util::set_check_failure_handler(
+        [this](const chase::util::CheckContext& ctx) { failures.push_back(ctx); });
+  }
+  ~CaptureFailures() { chase::util::set_check_failure_handler(std::move(prev)); }
+};
+
+}  // namespace
+
+TEST(Conv3d, MatchesReferenceBitwise) {
+  chase::util::Rng rng(20261017);
+  const auto draw = [&rng](int lo, int hi) {
+    return lo + static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(hi - lo + 1)));
+  };
+  // A normal draw, or +0 / -0 with probability `zeros` (split evenly).
+  const auto value = [&rng](double zeros) {
+    const double u = rng.uniform();
+    if (u < zeros / 2) return 0.f;
+    if (u < zeros) return -0.f;
+    return static_cast<float>(rng.normal(0.0, 1.0));
+  };
+  for (int c = 0; c < 500; ++c) {
+    SCOPED_TRACE(c);
+    // Sizes 1 and 2 put every voxel of a row on a peeled edge.
+    const int nx = draw(1, 9), ny = draw(1, 9), nz = draw(1, 9);
+    ml::Conv3d conv;
+    conv.init(draw(1, 8), draw(1, 8), rng);
+    for (float& bias : conv.b) bias = value(0.2);
+    ml::Tensor4 x(conv.in_c, nx, ny, nz);
+    for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = value(0.25);
+    // Every tenth case puts infinities into x: a g == 0 term there is
+    // 0 * inf = NaN, which the backward pass must skip, not add.
+    if (c % 10 == 9) {
+      const float inf = std::numeric_limits<float>::infinity();
+      for (int k = 0; k < 3; ++k) x.data()[rng.uniform_u64(x.size())] = k % 2 ? -inf : inf;
+    }
+    ml::Tensor4 g(conv.out_c, nx, ny, nz);
+    for (std::size_t i = 0; i < g.size(); ++i) g.data()[i] = value(0.4);
+    // dw/db accumulate (+=); start them nonzero, with some -0 entries that
+    // a +0 term would flip to +0 if a g == 0 term were added.
+    std::vector<float> dw0(conv.w.size()), db0(conv.b.size());
+    for (float& v : dw0) v = rng.uniform() < 0.1 ? -0.f : static_cast<float>(rng.normal(0.0, 1.0));
+    for (float& v : db0) v = rng.uniform() < 0.1 ? -0.f : static_cast<float>(rng.normal(0.0, 1.0));
+    // Every fifth case gives one output channel an all-zero gradient, as a
+    // dead relu can, over a -0 bias gradient that must stay -0.
+    if (c % 5 == 4) {
+      const int oc = draw(0, conv.out_c - 1);
+      float* channel = g.channel(oc);
+      for (std::size_t i = 0; i < g.voxels(); ++i) channel[i] = i % 2 ? -0.f : 0.f;
+      db0[static_cast<std::size_t>(oc)] = -0.f;
+    }
+
+    ml::Tensor4 y_ref, y;
+    reference_forward(conv, x, y_ref);
+    conv.forward(x, y);
+    ASSERT_TRUE(same_bits(y, y_ref)) << "forward";
+
+    const bool with_dx = c % 2 == 0;
+    std::vector<float> dw_ref = dw0, dw = dw0, db_ref = db0, db = db0;
+    ml::Tensor4 dx_ref, dx;
+    reference_backward(conv, x, g, with_dx ? &dx_ref : nullptr, dw_ref, db_ref);
+    conv.backward(x, g, with_dx ? &dx : nullptr, dw, db);
+    ASSERT_TRUE(same_bits(dw, dw_ref)) << "dw";
+    ASSERT_TRUE(same_bits(db, db_ref)) << "db";
+    ASSERT_TRUE(same_bits(dx, dx_ref)) << "dx";
+    if (!with_dx) {
+      ASSERT_EQ(dx.size(), 0u);
+    }
+  }
+}
+
+TEST(Conv3d, RejectsMismatchedShapes) {
+  chase::util::Rng rng(29);
+  ml::Conv3d conv;
+  conv.init(2, 3, rng);
+  {
+    CaptureFailures cap;
+    ml::Tensor4 y(1, 1, 1, 1, 7.f);
+    conv.forward(ml::Tensor4(3, 4, 4, 4, 1.f), y);
+    EXPECT_EQ(cap.failures.size(), 1u);
+    EXPECT_EQ(y.channels(), 1);
+    EXPECT_EQ(y.at(0, 0, 0, 0), 7.f);
+  }
+  struct Case {
+    const char* what;
+    ml::Tensor4 x, dy;
+    std::size_t dw, db;
+    std::size_t reports;
+  };
+  const std::size_t nw = conv.w.size(), nb = conv.b.size();
+  const Case cases[] = {
+      {"matching", ml::Tensor4(2, 4, 4, 4, 1.f), ml::Tensor4(3, 4, 4, 4, 1.f), nw, nb, 0},
+      {"x channels", ml::Tensor4(1, 4, 4, 4, 1.f), ml::Tensor4(3, 4, 4, 4, 1.f), nw, nb, 1},
+      {"dy channels", ml::Tensor4(2, 4, 4, 4, 1.f), ml::Tensor4(4, 4, 4, 4, 1.f), nw, nb, 1},
+      {"dy nx", ml::Tensor4(2, 4, 4, 4, 1.f), ml::Tensor4(3, 5, 4, 4, 1.f), nw, nb, 1},
+      {"dy ny", ml::Tensor4(2, 4, 4, 4, 1.f), ml::Tensor4(3, 4, 3, 4, 1.f), nw, nb, 1},
+      {"dy nz", ml::Tensor4(2, 4, 4, 4, 1.f), ml::Tensor4(3, 4, 4, 6, 1.f), nw, nb, 1},
+      {"dw size", ml::Tensor4(2, 4, 4, 4, 1.f), ml::Tensor4(3, 4, 4, 4, 1.f), nw - 1, nb, 1},
+      {"db size", ml::Tensor4(2, 4, 4, 4, 1.f), ml::Tensor4(3, 4, 4, 4, 1.f), nw, nb + 1, 1},
+      {"everything", ml::Tensor4(3, 4, 4, 4, 1.f), ml::Tensor4(1, 2, 4, 4, 1.f), 0, 0, 5},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    CaptureFailures cap;
+    ml::Tensor4 dx(1, 1, 1, 1, 7.f);
+    std::vector<float> dw(c.dw, 5.f), db(c.db, 5.f);
+    conv.backward(c.x, c.dy, &dx, dw, db);
+    EXPECT_EQ(cap.failures.size(), c.reports);
+    for (const auto& f : cap.failures) {
+      EXPECT_STREQ(f.kind, "CHASE_ASSERT");
+    }
+    if (c.reports == 0) continue;
+    EXPECT_EQ(dx.channels(), 1);
+    EXPECT_EQ(dx.at(0, 0, 0, 0), 7.f);
+    EXPECT_EQ(dw, std::vector<float>(c.dw, 5.f));
+    EXPECT_EQ(db, std::vector<float>(c.db, 5.f));
   }
 }
 
