@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "util/check.hpp"
 
@@ -24,6 +25,23 @@ std::string label_key(const std::string& k, const std::string& v) {
   out += '\x1F';
   out += v;
   return out;
+}
+
+/// The taint half of node admission: every NoSchedule/NoExecute taint on
+/// the node must be tolerated by the pod.
+bool tolerates_taints(const NodeInfo& info, const Pod& pod) {
+  for (const auto& taint : info.taints) {
+    if (taint.effect != TaintEffect::NoSchedule &&
+        taint.effect != TaintEffect::NoExecute) {
+      continue;
+    }
+    bool tolerated = false;
+    for (const auto& toleration : pod.spec.tolerations) {
+      tolerated = tolerated || toleration.tolerates(taint);
+    }
+    if (!tolerated) return false;
+  }
+  return true;
 }
 }  // namespace
 
@@ -92,7 +110,6 @@ KubeCluster::KubeCluster(sim::Simulation& sim, net::Network& net,
   free_buckets_.resize(kClassCount);
   cap_buckets_.resize(kClassCount);
   sched_candidates_.reserve(64);
-  sel_scratch_.reserve(64);
   inventory_.subscribe([this](cluster::MachineId m, bool up) { on_machine_state(m, up); });
   audit_hook_ = sim_.add_audit_hook([this] { check_invariants(); });
 }
@@ -125,55 +142,80 @@ void KubeCluster::register_node(cluster::MachineId machine, Labels extra_labels)
   info.ready = m.up;
   info.gpu_in_use.assign(static_cast<std::size_t>(m.spec.gpus), false);
   info.pods.reserve(8);  // steady-state churn stays within the high water
-  auto [it, inserted] = nodes_.try_emplace(machine);
-  if (!inserted) {
+  const auto slot = static_cast<std::size_t>(machine);
+  if (slot >= nodes_.size()) {
+    nodes_.resize(slot + 1);
+    candidate_bits_.resize((nodes_.size() + 63) / 64, 0);
+  }
+  std::unique_ptr<NodeInfo>& entry = nodes_[slot];
+  if (entry == nullptr) {
+    entry = std::make_unique<NodeInfo>();
+  } else {
     // Re-register: replace the label set (drop the stale index slots and
     // postings first) but keep runtime state — relabeling a live node must
     // not orphan its bound pods or leak their allocations/device grants.
-    index_remove(it->second);
-    unindex_node_labels(it->second);
-    info.allocated = it->second.allocated;
-    info.gpu_in_use = std::move(it->second.gpu_in_use);
-    info.image_cache = std::move(it->second.image_cache);
-    info.pods = std::move(it->second.pods);
-    info.taints = std::move(it->second.taints);
-    info.unschedulable = it->second.unschedulable;
+    index_remove(*entry);
+    unindex_node_labels(*entry);
+    info.allocated = entry->allocated;
+    info.gpu_in_use = std::move(entry->gpu_in_use);
+    info.image_cache = std::move(entry->image_cache);
+    info.pods = std::move(entry->pods);
+    info.taints = std::move(entry->taints);
+    info.unschedulable = entry->unschedulable;
   }
-  it->second = std::move(info);
-  reindex_node(it->second);
-  index_node_labels(it->second);
+  *entry = std::move(info);
+  reindex_node(*entry);
+  index_node_labels(*entry);
   for (auto& [key, ds] : daemon_sets_) reconcile_daemon_set(ds);
   kick_scheduler();
 }
 
 const NodeInfo& KubeCluster::node(cluster::MachineId machine) const {
-  return nodes_.at(machine);
+  return node_at(machine);
+}
+
+std::size_t KubeCluster::node_count() const {
+  return static_cast<std::size_t>(
+      std::count_if(nodes_.begin(), nodes_.end(), [](const auto& n) { return n != nullptr; }));
+}
+
+NodeInfo* KubeCluster::find_node(cluster::MachineId machine) const {
+  if (machine < 0 || static_cast<std::size_t>(machine) >= nodes_.size()) return nullptr;
+  return nodes_[static_cast<std::size_t>(machine)].get();
+}
+
+NodeInfo& KubeCluster::node_at(cluster::MachineId machine) const {
+  NodeInfo* info = find_node(machine);
+  if (info == nullptr) {
+    throw std::out_of_range("machine " + std::to_string(machine) + " is not a registered node");
+  }
+  return *info;
 }
 
 ResourceList KubeCluster::total_allocatable() const {
   ResourceList total;
-  for (const auto& [id, n] : nodes_) {
-    if (n.ready) total += n.allocatable;
+  for (const auto& n : nodes_) {
+    if (n != nullptr && n->ready) total += n->allocatable;
   }
   return total;
 }
 
 ResourceList KubeCluster::total_allocated() const {
   ResourceList total;
-  for (const auto& [id, n] : nodes_) {
-    if (n.ready) total += n.allocated;
+  for (const auto& n : nodes_) {
+    if (n != nullptr && n->ready) total += n->allocated;
   }
   return total;
 }
 
 void KubeCluster::cordon(cluster::MachineId machine) {
-  NodeInfo& info = nodes_.at(machine);
+  NodeInfo& info = node_at(machine);
   info.unschedulable = true;
   reindex_node(info);
 }
 
 void KubeCluster::uncordon(cluster::MachineId machine) {
-  NodeInfo& info = nodes_.at(machine);
+  NodeInfo& info = node_at(machine);
   info.unschedulable = false;
   reindex_node(info);
   kick_scheduler();
@@ -181,14 +223,14 @@ void KubeCluster::uncordon(cluster::MachineId machine) {
 
 void KubeCluster::drain(cluster::MachineId machine) {
   cordon(machine);
-  std::vector<PodPtr> doomed = nodes_.at(machine).pods;
+  std::vector<PodPtr> doomed = node_at(machine).pods;
   for (const auto& pod : doomed) {
     if (!pod->terminal()) evict_pod(pod, "Drained");
   }
 }
 
 void KubeCluster::add_taint(cluster::MachineId machine, Taint taint) {
-  NodeInfo& info = nodes_.at(machine);
+  NodeInfo& info = node_at(machine);
   info.taints.push_back(taint);
   if (taint.effect == TaintEffect::NoExecute) {
     std::vector<PodPtr> doomed;
@@ -206,7 +248,7 @@ void KubeCluster::add_taint(cluster::MachineId machine, Taint taint) {
 }
 
 void KubeCluster::remove_taint(cluster::MachineId machine, const std::string& key) {
-  auto& taints = nodes_.at(machine).taints;
+  auto& taints = node_at(machine).taints;
   taints.erase(std::remove_if(taints.begin(), taints.end(),
                               [&](const Taint& t) { return t.key == key; }),
                taints.end());
@@ -615,7 +657,7 @@ void KubeCluster::reconcile_daemon_set(const DaemonSetPtr& ds) {
   // id, the same order as the old full nodes_ scan (an empty selector
   // resolves to every registered node).
   for (cluster::MachineId machine : resolve_selector_nodes(ds->spec.node_selector)) {
-    const NodeInfo& info = nodes_.find(machine)->second;
+    const NodeInfo& info = indexed(machine);
     if (!info.ready) continue;
     // Already hosting a live daemon pod?
     bool present = false;
@@ -687,7 +729,11 @@ void KubeCluster::notify_watchers(const PodPtr& pod) {
 
 void KubeCluster::check_invariants() const {
   constexpr double kCpuEps = 1e-6;
-  for (const auto& [machine, info] : nodes_) {
+  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
+    if (nodes_[slot] == nullptr) continue;
+    const NodeInfo& info = *nodes_[slot];
+    const auto machine = static_cast<cluster::MachineId>(slot);
+    CHASE_INVARIANT(info.machine == machine, "node table slot holds another machine");
     CHASE_INVARIANT(info.allocated.cpu >= -kCpuEps && info.allocated.gpus >= 0,
                     "negative node allocation");
     CHASE_INVARIANT(info.allocated.cpu <= info.allocatable.cpu + kCpuEps &&
@@ -725,6 +771,10 @@ void KubeCluster::check_invariants() const {
                                                                info.gpu_in_use.end(), true)),
                 "GPUs marked in use != GPUs granted to bound pods");
   }
+  CHASE_INVARIANT(candidate_bits_.size() == (nodes_.size() + 63) / 64 &&
+                      std::all_of(candidate_bits_.begin(), candidate_bits_.end(),
+                                  [](std::uint64_t word) { return word == 0; }),
+                  "candidate bitmap does not cover the node table or was left dirty");
   for (const auto& pod : pending_) {
     CHASE_INVARIANT(pod != nullptr && !pod->terminal() && pod->node < 0,
                     "scheduler queue holds a terminal or already-bound pod");
@@ -733,7 +783,10 @@ void KubeCluster::check_invariants() const {
   // current headroom/capacity class dictates, and the buckets hold nothing
   // else (sorted, no duplicates, totals match the schedulable node count).
   std::size_t schedulable = 0;
-  for (const auto& [machine, info] : nodes_) {
+  for (const auto& entry : nodes_) {
+    if (entry == nullptr) continue;
+    const NodeInfo& info = *entry;
+    const cluster::MachineId machine = info.machine;
     const bool member = info.ready && !info.unschedulable;
     const int fc = member ? resource_class(info.allocatable.cpu - info.allocated.cpu,
                                            info.allocatable.gpus - info.allocated.gpus)
@@ -765,12 +818,13 @@ void KubeCluster::check_invariants() const {
   // Inverted label index: every label a node carries has a posting holding
   // that node; at level 2 the whole index is rescanned — postings sorted,
   // deduped, and every slot justified by the node's actual label set.
-  for (const auto& [machine, info] : nodes_) {
-    for (const auto& [k, v] : info.labels) {
+  for (const auto& entry : nodes_) {
+    if (entry == nullptr) continue;
+    for (const auto& [k, v] : entry->labels) {
       const auto it = label_index_.find(label_key(k, v));
       CHASE_INVARIANT(it != label_index_.end() &&
                           std::binary_search(it->second.begin(), it->second.end(),
-                                             machine),
+                                             entry->machine),
                       "node label missing from the inverted label index");
     }
   }
@@ -786,16 +840,16 @@ void KubeCluster::check_invariants() const {
       const std::string k = key.substr(0, cut);
       const std::string v = key.substr(cut + 1);
       for (cluster::MachineId machine : posting) {
-        const auto nit = nodes_.find(machine);
-        CHASE_AUDIT(nit != nodes_.end(), "label posting names an unregistered node");
-        const auto lit = nit->second.labels.find(k);
-        CHASE_AUDIT(lit != nit->second.labels.end() && lit->second == v,
+        const NodeInfo* info = find_node(machine);
+        CHASE_AUDIT(info != nullptr, "label posting names an unregistered node");
+        const auto lit = info->labels.find(k);
+        CHASE_AUDIT(lit != info->labels.end() && lit->second == v,
                     "label posting slot not justified by the node's labels");
       }
       label_slots += posting.size();
     }
     std::size_t label_total = 0;
-    for (const auto& [machine, info] : nodes_) label_total += info.labels.size();
+    for (const auto& entry : nodes_) label_total += entry == nullptr ? 0 : entry->labels.size();
     CHASE_AUDIT(label_slots == label_total,
                 "inverted label index size diverged from node label sets");
   }
@@ -888,18 +942,7 @@ void KubeCluster::scheduling_pass() {
 bool KubeCluster::node_admits(const NodeInfo& info, const Pod& pod) const {
   if (!info.ready || info.unschedulable) return false;
   if (!selector_matches(pod.spec.node_selector, info.labels)) return false;
-  for (const auto& taint : info.taints) {
-    if (taint.effect != TaintEffect::NoSchedule &&
-        taint.effect != TaintEffect::NoExecute) {
-      continue;
-    }
-    bool tolerated = false;
-    for (const auto& toleration : pod.spec.tolerations) {
-      tolerated = tolerated || toleration.tolerates(taint);
-    }
-    if (!tolerated) return false;
-  }
-  return true;
+  return tolerates_taints(info, pod);
 }
 
 // --- feasibility index --------------------------------------------------------------
@@ -939,38 +982,53 @@ void KubeCluster::reindex_node(NodeInfo& info) {
   info.idx_cap = cc;
 }
 
-void KubeCluster::gather_candidates(const ResourceList& requests, bool by_capacity) {
+void KubeCluster::gather_candidates(const ResourceList& requests, bool by_capacity,
+                                    const Labels& selector) {
   // Both class functions are monotone, so every node with enough headroom
   // (or capacity) sits in a bucket at or above the request's class in both
-  // axes: the scan below is a feasibility superset, never a miss. The merge
-  // re-sorts by machine id so scoring visits candidates in the same order
-  // as the old full nodes_ scan.
+  // axes: the scan below is a feasibility superset, never a miss. A node
+  // sits in exactly one bucket of each kind, so marking the range's ids in
+  // the bitmap and reading the bits back in ascending order yields the
+  // candidates in machine-id order, the order of the old full nodes_ scan,
+  // without a sort.
   sched_candidates_.clear();
   const auto& buckets = by_capacity ? cap_buckets_ : free_buckets_;
-  const int g_lo = std::clamp(requests.gpus, 0, kGpuClassMax);
-  const auto whole = requests.cpu <= 0.0 ? 0ull : static_cast<unsigned long long>(requests.cpu);
-  const int c_lo = std::min(static_cast<int>(std::bit_width(whole)), kCpuClassMax);
-  for (int g = g_lo; g <= kGpuClassMax; ++g) {
-    for (int c = c_lo; c <= kCpuClassMax; ++c) {
-      const auto& bucket = buckets[g * (kCpuClassMax + 1) + c];
-      sched_candidates_.insert(sched_candidates_.end(), bucket.begin(), bucket.end());
+  const int lo = resource_class(requests.cpu, requests.gpus);
+  for (int g = lo / (kCpuClassMax + 1); g <= kGpuClassMax; ++g) {
+    for (int c = lo % (kCpuClassMax + 1); c <= kCpuClassMax; ++c) {
+      for (cluster::MachineId machine : buckets[g * (kCpuClassMax + 1) + c]) {
+        candidate_bits_[static_cast<std::size_t>(machine) / 64] |= 1ull << (machine % 64);
+      }
     }
   }
-  std::sort(sched_candidates_.begin(), sched_candidates_.end());
+  if (selector.empty()) {
+    for (std::size_t w = 0; w < candidate_bits_.size(); ++w) {
+      // Emit the word's ids lowest bit first, clearing each as it goes.
+      for (std::uint64_t& word = candidate_bits_[w]; word != 0; word &= word - 1) {
+        sched_candidates_.push_back(
+            static_cast<cluster::MachineId>(w * 64 + std::countr_zero(word)));
+      }
+    }
+    return;
+  }
+  // The resolved selector set is ascending too: keep its marked ids.
+  for (cluster::MachineId machine : resolve_selector_nodes(selector)) {
+    if ((candidate_bits_[static_cast<std::size_t>(machine) / 64] >> (machine % 64)) & 1) {
+      sched_candidates_.push_back(machine);
+    }
+  }
+  std::fill(candidate_bits_.begin(), candidate_bits_.end(), 0);
 }
 
 bool KubeCluster::has_capacity_for(const ResourceList& requests) const {
   // Same monotone-class superset scan as gather_candidates, but read-only and
   // short-circuiting: answers "could this pod EVER bind here" without
   // touching scheduler scratch state (used by the federation controller).
-  const int g_lo = std::clamp(requests.gpus, 0, kGpuClassMax);
-  const auto whole =
-      requests.cpu <= 0.0 ? 0ull : static_cast<unsigned long long>(requests.cpu);
-  const int c_lo = std::min(static_cast<int>(std::bit_width(whole)), kCpuClassMax);
-  for (int g = g_lo; g <= kGpuClassMax; ++g) {
-    for (int c = c_lo; c <= kCpuClassMax; ++c) {
+  const int lo = resource_class(requests.cpu, requests.gpus);
+  for (int g = lo / (kCpuClassMax + 1); g <= kGpuClassMax; ++g) {
+    for (int c = lo % (kCpuClassMax + 1); c <= kCpuClassMax; ++c) {
       for (cluster::MachineId machine : cap_buckets_[g * (kCpuClassMax + 1) + c]) {
-        if (requests.fits_within(nodes_.find(machine)->second.allocatable)) return true;
+        if (requests.fits_within(indexed(machine).allocatable)) return true;
       }
     }
   }
@@ -1019,7 +1077,9 @@ const std::vector<cluster::MachineId>& KubeCluster::resolve_selector_nodes(
   cached.nodes.clear();
   if (selector.empty()) {  // every registered node matches, ascending id
     cached.nodes.reserve(nodes_.size());
-    for (const auto& [machine, info] : nodes_) cached.nodes.push_back(machine);
+    for (const auto& entry : nodes_) {
+      if (entry != nullptr) cached.nodes.push_back(entry->machine);
+    }
     return cached.nodes;
   }
   // Walk the rarest term's posting list and verify the rest against each
@@ -1032,7 +1092,7 @@ const std::vector<cluster::MachineId>& KubeCluster::resolve_selector_nodes(
   }
   cached.nodes.reserve(base->size());
   for (cluster::MachineId machine : *base) {
-    if (selector_matches(selector, nodes_.find(machine)->second.labels)) {
+    if (selector_matches(selector, indexed(machine).labels)) {
       cached.nodes.push_back(machine);
     }
   }
@@ -1041,15 +1101,6 @@ const std::vector<cluster::MachineId>& KubeCluster::resolve_selector_nodes(
 
 std::vector<cluster::MachineId> KubeCluster::nodes_matching(const Labels& selector) {
   return resolve_selector_nodes(selector);
-}
-
-void KubeCluster::filter_candidates_by_selector(const Labels& selector) {
-  if (selector.empty() || sched_candidates_.empty()) return;
-  const std::vector<cluster::MachineId>& match = resolve_selector_nodes(selector);
-  sel_scratch_.clear();
-  std::set_intersection(sched_candidates_.begin(), sched_candidates_.end(),
-                        match.begin(), match.end(), std::back_inserter(sel_scratch_));
-  sched_candidates_.swap(sel_scratch_);
 }
 
 bool KubeCluster::try_preempt(const Pod& pod) {
@@ -1061,10 +1112,9 @@ bool KubeCluster::try_preempt(const Pod& pod) {
   cluster::MachineId best_node = -1;
   std::vector<PodPtr> best_victims;
   int best_cost = INT_MAX;
-  gather_candidates(requests, /*by_capacity=*/true);
-  filter_candidates_by_selector(pod.spec.node_selector);
+  gather_candidates(requests, /*by_capacity=*/true, pod.spec.node_selector);
   for (cluster::MachineId machine : sched_candidates_) {
-    NodeInfo& info = nodes_.find(machine)->second;
+    const NodeInfo& info = indexed(machine);
     if (!node_admits(info, pod)) continue;
     if (requests.fits_within(info.allocatable) == false) continue;
     // Candidate victims: lower-priority pods, lowest priority first.
@@ -1110,20 +1160,20 @@ std::optional<cluster::MachineId> KubeCluster::pick_node(const Pod& pod) {
   // match — resolve it directly instead of scanning.
   const auto pin = pod.spec.node_selector.find("machine");
   if (pin != pod.spec.node_selector.end()) {
+    // The pin comes from the pod: range-check the parsed id before it is
+    // narrowed to a MachineId and used as a table index.
     char* end = nullptr;
     const long long id = std::strtoll(pin->second.c_str(), &end, 10);
     if (end == pin->second.c_str() || *end != '\0') return std::nullopt;
-    const auto it = nodes_.find(static_cast<cluster::MachineId>(id));
-    if (it == nodes_.end()) return std::nullopt;
-    const NodeInfo& info = it->second;
-    if (!node_admits(info, pod)) return std::nullopt;
-    if (!(info.allocated + requests).fits_within(info.allocatable)) return std::nullopt;
-    return info.machine;
+    if (id < 0 || id >= static_cast<long long>(nodes_.size())) return std::nullopt;
+    const NodeInfo* info = find_node(static_cast<cluster::MachineId>(id));
+    if (info == nullptr || !node_admits(*info, pod)) return std::nullopt;
+    if (!(info->allocated + requests).fits_within(info->allocatable)) return std::nullopt;
+    return info->machine;
   }
   std::optional<cluster::MachineId> best;
   double best_score = -1.0;
-  gather_candidates(requests, /*by_capacity=*/false);
-  filter_candidates_by_selector(pod.spec.node_selector);
+  gather_candidates(requests, /*by_capacity=*/false, pod.spec.node_selector);
   // Sampled scoring (Kubernetes' percentageOfNodesToScore, determinized):
   // above the threshold, score at most score_sample_max FEASIBLE candidates
   // starting at a rotating offset so load still spreads across the fleet.
@@ -1141,9 +1191,11 @@ std::optional<cluster::MachineId> KubeCluster::pick_node(const Pod& pod) {
     std::size_t j = start + k;
     if (j >= n) j -= n;  // wrap
     const cluster::MachineId machine = sched_candidates_[j];
-    const NodeInfo& info = nodes_.find(machine)->second;
-    if (!node_admits(info, pod)) continue;
-    ResourceList would = info.allocated + requests;
+    const NodeInfo& info = indexed(machine);
+    // node_admits without its selector test: every candidate already
+    // matches the selector (gather_candidates).
+    if (!info.ready || info.unschedulable || !tolerates_taints(info, pod)) continue;
+    const ResourceList would = info.allocated + requests;
     if (!would.fits_within(info.allocatable)) continue;
     --budget;
     // Spread: prefer the node with the most free CPU/GPU fraction
@@ -1164,7 +1216,7 @@ std::optional<cluster::MachineId> KubeCluster::pick_node(const Pod& pod) {
 }
 
 void KubeCluster::bind(const PodPtr& pod, cluster::MachineId machine) {
-  NodeInfo& info = nodes_.at(machine);
+  NodeInfo& info = indexed(machine);
   pod->node = machine;
   info.allocated += pod->requests();
   reindex_node(info);  // headroom class may have dropped
@@ -1193,14 +1245,13 @@ sim::Task KubeCluster::run_pod(KubeCluster* self, PodPtr pod) {
   if (self->options_.registry_node >= 0 && pod->node >= 0) {
     const net::NodeId here = self->inventory_.machine(pod->node).net_node;
     for (const auto& c : pod->spec.containers) {
-      // Look nodes_ up fresh each iteration: the pull below suspends, and
-      // holding a NodeInfo reference across it would dangle if the node
-      // entry is ever erased meanwhile.
-      const auto& cache = self->nodes_.at(pod->node).image_cache;
+      // Look the node up fresh each iteration rather than hold a NodeInfo
+      // reference across the pull below, which suspends.
+      const auto& cache = self->node_at(pod->node).image_cache;
       const bool cached = std::find(cache.begin(), cache.end(), c.image) != cache.end();
       if (!cached) {
         co_await self->net_.send(self->options_.registry_node, here, c.image_size);
-        self->nodes_.at(pod->node).image_cache.push_back(c.image);
+        self->node_at(pod->node).image_cache.push_back(c.image);
       }
     }
   }
@@ -1256,10 +1307,9 @@ void KubeCluster::finalize_pod(const PodPtr& pod, PodPhase phase,
 }
 
 void KubeCluster::release_node_resources(const PodPtr& pod) {
-  if (pod->node < 0) return;
-  auto it = nodes_.find(pod->node);
-  if (it == nodes_.end()) return;
-  NodeInfo& info = it->second;
+  NodeInfo* node = find_node(pod->node);
+  if (node == nullptr) return;
+  NodeInfo& info = *node;
   info.allocated -= pod->requests();
   reindex_node(info);  // headroom class may have risen
   for (int gpu : pod->gpu_ids) {
@@ -1303,9 +1353,9 @@ void KubeCluster::unregister_pod_metrics(const PodPtr& pod) {
 // --- controllers ------------------------------------------------------------------------
 
 void KubeCluster::on_machine_state(cluster::MachineId machine, bool up) {
-  auto it = nodes_.find(machine);
-  if (it == nodes_.end()) return;
-  NodeInfo& info = it->second;
+  NodeInfo* node = find_node(machine);
+  if (node == nullptr) return;
+  NodeInfo& info = *node;
   info.ready = up;
   reindex_node(info);
   if (!up) {

@@ -11,6 +11,7 @@
 /// ReplicaSets) and the controllers converge on it, including rescheduling
 /// pods off failed nodes (§V).
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
@@ -146,8 +147,9 @@ class KubeCluster {
   /// pods, allocations, device grants, taints, and cordon status survive a
   /// live relabel.
   void register_node(cluster::MachineId machine, Labels extra_labels = {});
+  /// Throws std::out_of_range for a machine that was never registered.
   const NodeInfo& node(cluster::MachineId machine) const;
-  std::size_t node_count() const { return nodes_.size(); }
+  std::size_t node_count() const;
   /// Registered nodes whose labels satisfy `selector`, ascending machine id
   /// (ready/cordon state is not considered — this is pure label matching,
   /// answered from the inverted label index).
@@ -265,6 +267,17 @@ class KubeCluster {
                     auth::Verb verb, const auth::Token* token, bool system);
   void release_quota(const std::string& ns, const ResourceList& requests);
 
+  // node table
+  /// The registered node `machine`, or nullptr for an id outside the table
+  /// or one that was never registered.
+  NodeInfo* find_node(cluster::MachineId machine) const;
+  /// find_node for API entry points: throws std::out_of_range instead.
+  NodeInfo& node_at(cluster::MachineId machine) const;
+  /// Table lookup for ids taken from the indexes (always registered).
+  NodeInfo& indexed(cluster::MachineId machine) const {
+    return *nodes_[static_cast<std::size_t>(machine)];
+  }
+
   // scheduling
   void kick_scheduler();
   void scheduling_pass();
@@ -282,7 +295,7 @@ class KubeCluster {
   // are monotone in the underlying resources, so every node that could fit
   // a request lives in a bucket at or above the request's own class:
   // pick_node / try_preempt scan that bucket range instead of all of
-  // nodes_. Candidates are sorted by machine id before scoring, which
+  // nodes_. Candidates are emitted in ascending machine id, which
   // reproduces the old full-scan's first-best tie-break exactly.
   static constexpr int kGpuClassMax = 8;   // free GPUs 0..8+ (FIONA8s)
   static constexpr int kCpuClassMax = 10;  // bit_width(cores) 0..10 (1024+)
@@ -293,10 +306,12 @@ class KubeCluster {
   /// unschedulable / allocated / allocatable.
   void reindex_node(NodeInfo& info);
   void index_remove(NodeInfo& info);
-  /// Collect schedulable nodes whose class could fit `requests` into
-  /// sched_candidates_, ascending machine id. `by_capacity` selects the
-  /// allocatable-class buckets (preemption) over the headroom ones.
-  void gather_candidates(const ResourceList& requests, bool by_capacity);
+  /// Collect schedulable nodes whose class could fit `requests` and whose
+  /// labels match `selector` into sched_candidates_, ascending machine id.
+  /// `by_capacity` selects the allocatable-class buckets (preemption) over
+  /// the headroom ones.
+  void gather_candidates(const ResourceList& requests, bool by_capacity,
+                         const Labels& selector);
 
   // Inverted label index: "key\x1Fvalue" -> machine ids (ascending) of every
   // registered node carrying that label. Selector matching over thousands of
@@ -310,9 +325,6 @@ class KubeCluster {
   /// (ascending machine id). The reference is valid until the next label
   /// mutation; hot paths must not hold it across suspension points.
   const std::vector<cluster::MachineId>& resolve_selector_nodes(const Labels& selector);
-  /// Drop sched_candidates_ entries whose node fails `selector` — a sorted
-  /// intersection with the resolved selector set (no per-node map walks).
-  void filter_candidates_by_selector(const Labels& selector);
 
   // kubelet
   static sim::Task run_pod(KubeCluster* self, PodPtr pod);
@@ -344,7 +356,10 @@ class KubeCluster {
   mon::Registry* metrics_;
   Options options_;
 
-  std::map<cluster::MachineId, NodeInfo> nodes_;
+  /// Dense node table indexed by machine id: null for ids never registered.
+  /// Entries never move or go away, so a NodeInfo reference stays valid
+  /// while the table grows.
+  std::vector<std::unique_ptr<NodeInfo>> nodes_;
   std::map<std::string, Namespace> namespaces_;
   std::map<std::string, PodPtr> pods_;          // key ns + "/" + name
   std::map<std::string, JobPtr> jobs_;          // key ns + "/" + name
@@ -355,11 +370,13 @@ class KubeCluster {
   std::map<std::string, ServiceSpec> services_;
   std::map<std::string, std::size_t> service_rr_;
   std::deque<PodPtr> pending_;
-  /// Feasibility-index buckets (machine ids, ascending) and the candidate
-  /// scratch reused by every scheduling query.
+  /// Feasibility-index buckets (machine ids, ascending), the candidate
+  /// scratch reused by every scheduling query, and gather_candidates' bitmap
+  /// over machine ids (one bit per table slot, all zero between queries).
   std::vector<std::vector<cluster::MachineId>> free_buckets_;
   std::vector<std::vector<cluster::MachineId>> cap_buckets_;
   std::vector<cluster::MachineId> sched_candidates_;
+  std::vector<std::uint64_t> candidate_bits_;
   /// Inverted label index + epoch-stamped selector-resolution cache.
   struct SelectorCache {
     std::uint64_t stamp = 0;  // valid iff == label_epoch_
@@ -368,7 +385,6 @@ class KubeCluster {
   std::map<std::string, std::vector<cluster::MachineId>> label_index_;
   std::map<std::string, SelectorCache> selector_cache_;
   std::uint64_t label_epoch_ = 1;
-  std::vector<cluster::MachineId> sel_scratch_;  // intersection scratch
   /// Sampled-scoring rotation state: advances once per sampled pick_node so
   /// successive pods start their feasibility walk at different offsets
   /// (deterministic — part of replay state, see DESIGN.md).

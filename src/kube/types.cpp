@@ -14,13 +14,6 @@ bool selector_matches(const Labels& selector, const Labels& labels) {
   return true;
 }
 
-ResourceList& ResourceList::operator+=(const ResourceList& o) {
-  cpu += o.cpu;
-  memory += o.memory;
-  gpus += o.gpus;
-  return *this;
-}
-
 ResourceList& ResourceList::operator-=(const ResourceList& o) {
   cpu -= o.cpu;
   memory = memory >= o.memory ? memory - o.memory : 0;
@@ -28,21 +21,11 @@ ResourceList& ResourceList::operator-=(const ResourceList& o) {
   return *this;
 }
 
-bool ResourceList::fits_within(const ResourceList& capacity) const {
-  return cpu <= capacity.cpu + 1e-9 && memory <= capacity.memory &&
-         gpus <= capacity.gpus;
-}
-
 std::string ResourceList::to_string() const {
   std::ostringstream os;
   os << "cpu=" << cpu << " mem=" << util::format_bytes(static_cast<double>(memory))
      << " gpus=" << gpus;
   return os.str();
-}
-
-ResourceList operator+(ResourceList a, const ResourceList& b) {
-  a += b;
-  return a;
 }
 
 const char* phase_name(PodPhase p) {

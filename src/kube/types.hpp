@@ -37,14 +37,28 @@ struct ResourceList {
   Bytes memory = 0;
   int gpus = 0;
 
-  ResourceList& operator+=(const ResourceList& o);
+  // + and fits_within are inline: the scheduler evaluates both for every
+  // candidate it scores.
+  ResourceList& operator+=(const ResourceList& o) {
+    cpu += o.cpu;
+    memory += o.memory;
+    gpus += o.gpus;
+    return *this;
+  }
   ResourceList& operator-=(const ResourceList& o);
-  /// True iff this resource request fits within `capacity`.
-  bool fits_within(const ResourceList& capacity) const;
+  /// True iff this resource request fits within `capacity` (CPU with 1e-9
+  /// slack for fractional requests summed in floating point).
+  bool fits_within(const ResourceList& capacity) const {
+    return cpu <= capacity.cpu + 1e-9 && memory <= capacity.memory &&
+           gpus <= capacity.gpus;
+  }
   std::string to_string() const;
 };
 
-ResourceList operator+(ResourceList a, const ResourceList& b);
+inline ResourceList operator+(ResourceList a, const ResourceList& b) {
+  a += b;
+  return a;
+}
 
 struct ObjectMeta {
   std::string ns;

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -193,6 +198,219 @@ TEST(SampledScheduler, SamplingStillSchedulesEverythingAndPinsHold) {
   for (int i = 0; i < 24; ++i) {
     EXPECT_GE(kube.get_pod("default", "p" + std::to_string(i))->node, 0) << i;
   }
+}
+
+namespace {
+
+// FNV-1a, the fingerprint scheme of tools/determinism_check.
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (i * 8)) & 0xFF;
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+ck::JobSpec pinned_job(const std::string& name, ck::ResourceList requests,
+                       ck::Labels selector, int parallelism, int completions,
+                       double run_seconds) {
+  ck::JobSpec job = one_shot_job(name, requests, run_seconds);
+  job.pod_template.node_selector = std::move(selector);
+  job.parallelism = parallelism;
+  job.completions = completions;
+  job.backoff_limit = 1 << 20;
+  return job;
+}
+
+struct PlacementRun {
+  std::uint64_t hash = kFnvOffset;
+  int bound = 0;  // watcher notifications of bound pods
+  std::map<std::string, int> reasons;  // terminal reasons of bound pods
+  int tainted_intruders = 0;  // non-tolerating pods bound to the tainted node
+  int edge_running_max = 0;   // peak live pods on the single-node edge pool
+};
+
+/// One seeded scheduling scenario over 17 nodes in two sites: sampled
+/// scoring with a window of 5 (rotor and wrap engage), site and pool
+/// selectors, a NoSchedule-tainted node, a drain, a cordon, a crash, a live
+/// relabel, two priority pods that can only bind by preempting, a
+/// site-pinned DaemonSet, and a one-node pool filled to the exact CPU
+/// boundary (the 40th 0.6-core pod fits only within fits_within's 1e-9
+/// slack). Every watcher notification of a bound pod is folded into the hash
+/// as (pod name, machine, phase, started_at bits), in notification order.
+///
+/// Under BinPack no GPU pod binds at all: its score is minus the free CPU
+/// plus free GPU fraction, and pick_node's -1.0 starting score rejects every
+/// node where that sum exceeds 1, which is every FIONA8 that is not nearly
+/// full. The BinPack hash pins that behaviour too.
+PlacementRun run_placement_scenario(ck::KubeCluster::SchedulingPolicy policy) {
+  cs::Simulation sim;
+  cn::Network net{sim};
+  cc::Inventory inventory{net};
+  ck::KubeCluster::Options opt;
+  opt.policy = policy;
+  opt.score_sample_max = 5;
+  ck::KubeCluster kube(sim, net, inventory, nullptr, opt);
+  const cn::NodeId sw = net.add_node("sw");
+  std::vector<cc::MachineId> m;
+  for (int i = 0; i < 17; ++i) {
+    const std::string name = "n" + std::to_string(i);
+    const std::string site = i % 2 == 0 && i != 16 ? "site-a" : "site-b";
+    const cn::NodeId nn = net.add_node(name);
+    net.add_link(nn, sw, cu::gbit_per_s(20), 1e-4);
+    // Every third node is CPU-only; node 16 is the one-node "edge" pool.
+    const bool cpu_only = i % 3 == 2 || i == 16;
+    m.push_back(inventory.add(cpu_only ? cc::fiona(name, site) : cc::fiona8(name, site), nn));
+    kube.register_node(m.back(), {{"pool", i == 16 ? "edge" : i < 8 ? "gold" : "silver"}});
+  }
+  const cc::MachineId tainted = m[3];
+  kube.add_taint(tainted, ck::Taint{"dedicated", "ml", ck::TaintEffect::NoSchedule});
+
+  PlacementRun run;
+  kube.watch_pods([&](const ck::PodPtr& pod) {
+    if (pod->node < 0) return;
+    for (char ch : pod->meta.name) run.hash = fnv1a(run.hash, static_cast<unsigned char>(ch));
+    run.hash = fnv1a(run.hash, static_cast<std::uint64_t>(pod->node));
+    run.hash = fnv1a(run.hash, static_cast<std::uint64_t>(pod->phase));
+    run.hash = fnv1a(run.hash, bits_of(pod->started_at));
+    ++run.bound;
+    if (pod->terminal()) ++run.reasons[pod->reason];
+    if (pod->node == tainted && pod->spec.tolerations.empty()) ++run.tainted_intruders;
+    if (pod->node == m[16]) {
+      run.edge_running_max = std::max(
+          run.edge_running_max, static_cast<int>(kube.node(m[16]).pods.size()));
+    }
+  });
+
+  ck::DaemonSetSpec ds;
+  ds.ns = "default";
+  ds.name = "exporter";
+  ds.node_selector = {{"site", "site-a"}};
+  ck::ContainerSpec daemon;
+  daemon.requests = {0.1, cu::gb(1), 0};
+  daemon.program = [](ck::PodContext& ctx) -> cs::Task { co_await ctx.sim().sleep(1e6); };
+  ds.pod_template.containers.push_back(std::move(daemon));
+  EXPECT_TRUE(kube.create_daemon_set(ds).ok());
+
+  const std::vector<ck::JobSpec> jobs = {
+      pinned_job("spread", {2, cu::gb(4), 1}, {}, 12, 60, 15.0),
+      pinned_job("siteb", {0.6, cu::gb(1), 0}, {{"site", "site-b"}, {"pool", "silver"}},
+                 10, 40, 12.0),
+      pinned_job("gold", {3, cu::gb(8), 2}, {{"pool", "gold"}}, 20, 40, 40.0),
+      pinned_job("edge", {0.6, cu::gb(1), 0}, {{"pool", "edge"}}, 40, 40, 300.0),
+  };
+  for (const auto& job : jobs) EXPECT_TRUE(kube.create_job(job).ok());
+  ck::JobSpec tolerant = pinned_job("tolerant", {1, cu::gb(2), 1}, {}, 6, 18, 10.0);
+  tolerant.pod_template.tolerations.push_back(ck::Toleration{"dedicated", ""});
+  EXPECT_TRUE(kube.create_job(tolerant).ok());
+
+  sim.schedule(25.0, [&] {
+    ck::PodSpec urgent;
+    ck::ContainerSpec c;
+    c.requests = {4, cu::gb(8), 8};
+    c.program = [](ck::PodContext& ctx) -> cs::Task { co_await ctx.sim().sleep(20.0); };
+    urgent.containers.push_back(std::move(c));
+    urgent.node_selector = {{"pool", "gold"}};
+    urgent.priority = 10;
+    EXPECT_TRUE(kube.create_pod("default", "urgent", std::move(urgent)).ok());
+  });
+  sim.schedule(30.0, [&] { kube.drain(m[12]); });
+  sim.schedule(35.0, [&] { kube.cordon(m[1]); });
+  sim.schedule(45.0, [&] { inventory.set_up(m[4], false); });
+  sim.schedule(50.0, [&] { kube.register_node(m[13], {{"pool", "gold"}}); });
+  sim.schedule(60.0, [&] { kube.uncordon(m[12]); });
+  sim.schedule(70.0, [&] { kube.uncordon(m[1]); });
+  sim.schedule(80.0, [&] { inventory.set_up(m[4], true); });
+  sim.schedule(100.0, [&] {  // preempts most of the full edge pool
+    ck::PodSpec urgent;
+    ck::ContainerSpec c;
+    c.requests = {20, cu::gb(8), 0};
+    urgent.containers.push_back(std::move(c));
+    urgent.node_selector = {{"pool", "edge"}};
+    urgent.priority = 5;
+    EXPECT_TRUE(kube.create_pod("default", "urgent-cpu", std::move(urgent)).ok());
+  });
+  sim.run(400.0);
+  kube.check_invariants();
+  return run;
+}
+
+}  // namespace
+
+TEST(SampledScheduler, PlacementsPinned) {
+  // Pins where every pod lands, across versions of the scheduler: the hashes
+  // below were recorded from the map-backed scheduler that re-sorted its
+  // candidates on every pick. A changed hash means a placement moved.
+  using Policy = ck::KubeCluster::SchedulingPolicy;
+  PlacementRun spread = run_placement_scenario(Policy::Spread);
+  PlacementRun binpack = run_placement_scenario(Policy::BinPack);
+  for (PlacementRun* run : {&spread, &binpack}) {
+    // The scenario reaches every path it claims to cover.
+    EXPECT_GT(run->reasons["Preempted"], 0);
+    EXPECT_GT(run->reasons["Drained"], 0);
+    EXPECT_GT(run->reasons["NodeLost"], 0);
+    EXPECT_EQ(run->tainted_intruders, 0);
+    EXPECT_EQ(run->edge_running_max, 40);  // the slack admits the 40th pod
+  }
+  EXPECT_EQ(spread.bound, 470);
+  EXPECT_EQ(binpack.bound, 212);
+  EXPECT_EQ(spread.hash, 0x08e2a6ed387c7a52ULL);
+  EXPECT_EQ(binpack.hash, 0x4e97a63669c0af6cULL);
+}
+
+TEST(SampledScheduler, BogusMachinePinsStayPending) {
+  // The "machine" pin is parsed from the pod's own selector, so it can name
+  // anything. Machine 2 exists in the inventory but is never registered.
+  cs::Simulation sim;
+  cn::Network net{sim};
+  cc::Inventory inventory{net};
+  ck::KubeCluster kube(sim, net, inventory, nullptr);
+  const cn::NodeId sw = net.add_node("sw");
+  for (int i = 0; i < 5; ++i) {
+    const std::string name = "n" + std::to_string(i);
+    const cn::NodeId nn = net.add_node(name);
+    net.add_link(nn, sw, cu::gbit_per_s(20), 1e-4);
+    const cc::MachineId id = inventory.add(cc::fiona(name, "site-a"), nn);
+    if (id != 2) kube.register_node(id);
+  }
+  ASSERT_EQ(kube.node_count(), 4u);
+  EXPECT_THROW(kube.node(2), std::out_of_range);
+  EXPECT_THROW(kube.node(99), std::out_of_range);
+  EXPECT_THROW(kube.node(-1), std::out_of_range);
+  const auto pinned = [&](const std::string& name, const std::string& pin) {
+    ck::PodSpec spec;
+    ck::ContainerSpec c;
+    c.requests = {1, cu::gb(1), 0};
+    spec.containers.push_back(std::move(c));
+    spec.node_selector["machine"] = pin;
+    auto r = kube.create_pod("default", name, std::move(spec));
+    EXPECT_TRUE(r.ok()) << r.error;
+    return r.value;
+  };
+  // "4294967299" truncates to machine 3 when narrowed to int.
+  const std::vector<std::string> bogus = {"-1", "4294967299", "3x", "", "2", "99",
+                                          "+3", " 3"};
+  std::vector<ck::PodPtr> stuck;
+  for (std::size_t i = 0; i < bogus.size(); ++i) {
+    stuck.push_back(pinned("bogus-" + std::to_string(i), bogus[i]));
+  }
+  const ck::PodPtr valid = pinned("valid", "3");
+  sim.run(60.0);
+  for (std::size_t i = 0; i < stuck.size(); ++i) {
+    EXPECT_EQ(stuck[i]->phase, ck::PodPhase::Pending) << "pin '" << bogus[i] << "'";
+    EXPECT_LT(stuck[i]->node, 0) << "pin '" << bogus[i] << "'";
+  }
+  EXPECT_EQ(valid->node, 3);
+  EXPECT_EQ(valid->phase, ck::PodPhase::Succeeded);
 }
 
 // --- federation controller ---------------------------------------------------
