@@ -15,7 +15,7 @@ namespace {
 struct Outcome {
   int small_running = 0;
   int big_scheduled = 0;
-  double big_wait = 0;
+  int whole_free = 0;  // FIONA8s hosting no notebook once they are placed
 };
 
 Outcome run_policy(kube::KubeCluster::SchedulingPolicy policy) {
@@ -35,6 +35,10 @@ Outcome run_policy(kube::KubeCluster::SchedulingPolicy policy) {
     bed.kube->create_pod("default", "notebook-" + std::to_string(i), std::move(spec));
   }
   bed.sim.run(60.0);
+  Outcome out;
+  for (cluster::MachineId machine : bed.gpu_machines()) {
+    out.whole_free += bed.kube->node(machine).pods.empty();
+  }
 
   // Then four 8-GPU training pods arrive (whole-FIONA8 jobs).
   std::vector<kube::PodPtr> big;
@@ -52,7 +56,6 @@ Outcome run_policy(kube::KubeCluster::SchedulingPolicy policy) {
   }
   bed.sim.run(120.0);
 
-  Outcome out;
   for (const auto& pod : bed.kube->list_pods("default")) {
     if (pod->meta.name.rfind("notebook-", 0) == 0) {
       out.small_running += pod->phase == kube::PodPhase::Running;
@@ -75,12 +78,9 @@ int main() {
     const auto outcome = run_policy(policy);
     const char* name =
         policy == kube::KubeCluster::SchedulingPolicy::Spread ? "Spread" : "BinPack";
-    // 16 small pods: Spread puts one per node (0 whole nodes free of small
-    // pods); BinPack packs them onto 2 nodes (14 free).
-    const int free_nodes =
-        policy == kube::KubeCluster::SchedulingPolicy::Spread ? 16 - 16 : 16 - 2;
     table.add_row({name, std::to_string(outcome.small_running),
-                   std::to_string(outcome.big_scheduled), std::to_string(free_nodes)});
+                   std::to_string(outcome.big_scheduled),
+                   std::to_string(outcome.whole_free)});
   }
   std::fputs(table.render("Fragmentation under scheduling policies").c_str(), stdout);
   std::printf(

@@ -150,6 +150,7 @@ void KubeCluster::register_node(cluster::MachineId machine, Labels extra_labels)
   std::unique_ptr<NodeInfo>& entry = nodes_[slot];
   if (entry == nullptr) {
     entry = std::make_unique<NodeInfo>();
+    ++registered_nodes_;
   } else {
     // Re-register: replace the label set (drop the stale index slots and
     // postings first) but keep runtime state — relabeling a live node must
@@ -174,10 +175,7 @@ const NodeInfo& KubeCluster::node(cluster::MachineId machine) const {
   return node_at(machine);
 }
 
-std::size_t KubeCluster::node_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(nodes_.begin(), nodes_.end(), [](const auto& n) { return n != nullptr; }));
-}
+std::size_t KubeCluster::node_count() const { return registered_nodes_; }
 
 NodeInfo* KubeCluster::find_node(cluster::MachineId machine) const {
   if (machine < 0 || static_cast<std::size_t>(machine) >= nodes_.size()) return nullptr;
@@ -771,6 +769,11 @@ void KubeCluster::check_invariants() const {
                                                                info.gpu_in_use.end(), true)),
                 "GPUs marked in use != GPUs granted to bound pods");
   }
+  CHASE_INVARIANT(registered_nodes_ ==
+                      static_cast<std::size_t>(std::count_if(
+                          nodes_.begin(), nodes_.end(),
+                          [](const auto& n) { return n != nullptr; })),
+                  "registered node count does not match the node table");
   CHASE_INVARIANT(candidate_bits_.size() == (nodes_.size() + 63) / 64 &&
                       std::all_of(candidate_bits_.begin(), candidate_bits_.end(),
                                   [](std::uint64_t word) { return word == 0; }),
@@ -955,8 +958,10 @@ int KubeCluster::resource_class(double cpu, int gpus) {
 }
 
 void KubeCluster::index_remove(NodeInfo& info) {
+  // Buckets are sorted and hold each id once (check_invariants audits it).
   const auto drop = [&](std::vector<cluster::MachineId>& bucket) {
-    bucket.erase(std::remove(bucket.begin(), bucket.end(), info.machine), bucket.end());
+    const auto it = std::lower_bound(bucket.begin(), bucket.end(), info.machine);
+    if (it != bucket.end() && *it == info.machine) bucket.erase(it);
   };
   if (info.idx_free >= 0) drop(free_buckets_[info.idx_free]);
   if (info.idx_cap >= 0) drop(cap_buckets_[info.idx_cap]);
@@ -1001,7 +1006,12 @@ void KubeCluster::gather_candidates(const ResourceList& requests, bool by_capaci
       }
     }
   }
-  if (selector.empty()) {
+  // Resolution returns registered nodes only, so a resolved set as large as
+  // the table's is every node: the selector filters nothing (every pod of a
+  // one-site federation cluster carries its site selector).
+  const std::vector<cluster::MachineId>* matching =
+      selector.empty() ? nullptr : &resolve_selector_nodes(selector);
+  if (matching == nullptr || matching->size() == registered_nodes_) {
     for (std::size_t w = 0; w < candidate_bits_.size(); ++w) {
       // Emit the word's ids lowest bit first, clearing each as it goes.
       for (std::uint64_t& word = candidate_bits_[w]; word != 0; word &= word - 1) {
@@ -1012,7 +1022,7 @@ void KubeCluster::gather_candidates(const ResourceList& requests, bool by_capaci
     return;
   }
   // The resolved selector set is ascending too: keep its marked ids.
-  for (cluster::MachineId machine : resolve_selector_nodes(selector)) {
+  for (cluster::MachineId machine : *matching) {
     if ((candidate_bits_[static_cast<std::size_t>(machine) / 64] >> (machine % 64)) & 1) {
       sched_candidates_.push_back(machine);
     }
@@ -1172,7 +1182,7 @@ std::optional<cluster::MachineId> KubeCluster::pick_node(const Pod& pod) {
     return info->machine;
   }
   std::optional<cluster::MachineId> best;
-  double best_score = -1.0;
+  double best_score = 0.0;  // read only once `best` is set
   gather_candidates(requests, /*by_capacity=*/false, pod.spec.node_selector);
   // Sampled scoring (Kubernetes' percentageOfNodesToScore, determinized):
   // above the threshold, score at most score_sample_max FEASIBLE candidates
@@ -1207,7 +1217,9 @@ std::optional<cluster::MachineId> KubeCluster::pick_node(const Pod& pod) {
             : 0.0;
     double score = cpu_free + gpu_free;
     if (options_.policy == SchedulingPolicy::BinPack) score = -score;
-    if (score > best_score) {
+    // The first feasible candidate always stands: BinPack scores lie in
+    // about [-2, 0], so a fixed floor would reject lightly used nodes.
+    if (!best || score > best_score) {
       best_score = score;
       best = machine;
     }

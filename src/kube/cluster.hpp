@@ -360,6 +360,7 @@ class KubeCluster {
   /// Entries never move or go away, so a NodeInfo reference stays valid
   /// while the table grows.
   std::vector<std::unique_ptr<NodeInfo>> nodes_;
+  std::size_t registered_nodes_ = 0;  // non-null entries of nodes_
   std::map<std::string, Namespace> namespaces_;
   std::map<std::string, PodPtr> pods_;          // key ns + "/" + name
   std::map<std::string, JobPtr> jobs_;          // key ns + "/" + name

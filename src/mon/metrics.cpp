@@ -1,7 +1,6 @@
 #include "mon/metrics.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "util/csv.hpp"
 #include "util/units.hpp"
@@ -117,14 +116,41 @@ double Registry::sum_at(const std::string& name, const Labels& selector,
 }
 
 double Registry::max_sum(const std::string& name, const Labels& selector) const {
-  auto sel = select(name, selector);
-  std::set<double> grid;
-  for (const auto& [key, ts] : sel) {
-    for (auto [t, v] : ts->samples()) grid.insert(t);
-  }
+  // A k-way merge over the time-sorted series: each step takes the next
+  // sample time t of any series, moves every cursor past its samples at or
+  // before t, and sums each series' last value so far (0 before its first
+  // sample) in select() order -- the additions sum_at(t) makes.
+  const auto sel = select(name, selector);
+  struct Cursor {
+    const std::vector<std::pair<double, double>>* samples;
+    std::size_t next;
+    double value;
+  };
+  std::vector<Cursor> cursors;
+  cursors.reserve(sel.size());
+  for (const auto& [key, ts] : sel) cursors.push_back(Cursor{&ts->samples(), 0, 0.0});
   double best = 0.0;
-  for (double t : grid) best = std::max(best, sum_at(name, selector, t));
-  return best;
+  while (true) {
+    bool any = false;
+    double t = 0.0;
+    for (const Cursor& c : cursors) {
+      if (c.next == c.samples->size()) continue;
+      const double ct = (*c.samples)[c.next].first;
+      if (!any || ct < t) t = ct;
+      any = true;
+    }
+    if (!any) return best;
+    double s = 0.0;
+    for (Cursor& c : cursors) {
+      const auto& samples = *c.samples;
+      while (c.next < samples.size() && !(t < samples[c.next].first)) {
+        c.value = samples[c.next].second;
+        ++c.next;
+      }
+      s += c.value;
+    }
+    best = std::max(best, s);
+  }
 }
 
 void Registry::start_sampler(sim::Simulation& sim, double period, sim::EventPtr stop) {
@@ -140,8 +166,9 @@ void Registry::start_sampler(sim::Simulation& sim, double period, sim::EventPtr 
 }
 
 void Registry::sample_now(double t) {
-  for (const auto& probe : probes_) {
-    series_[probe.key].append(t, probe.fn());
+  for (auto& probe : probes_) {
+    if (probe.series == nullptr) probe.series = &series_[probe.key];
+    probe.series->append(t, probe.fn());
   }
   for (auto& alert : alerts_) {
     const double value = sum_at(alert.rule.metric, alert.rule.selector, t);

@@ -72,7 +72,14 @@ struct AlertState {
 
 class Registry {
  public:
+  Registry() = default;
+  // Probes hold pointers into this registry's series map: a copy would
+  // append to the original's series.
+  Registry(const Registry&) = delete;
+  Registry& operator=(const Registry&) = delete;
+
   /// Register a pull-style probe: sampled every period by the sampler task.
+  /// Its series is created at the probe's first sample, not here.
   void register_probe(std::string name, Labels labels, std::function<double()> fn);
   /// Drop a probe (e.g. when a pod terminates). Its recorded series remains.
   void unregister_probe(const std::string& name, const Labels& labels);
@@ -90,8 +97,10 @@ class Registry {
 
   /// Sum across selected series evaluated at time t.
   double sum_at(const std::string& name, const Labels& selector, double t) const;
-  /// Max over time of the per-timestamp sum across selected series.
-  /// (Assumes series were sampled on a common grid, which the sampler does.)
+  /// Max over time of the per-timestamp sum across selected series: the max
+  /// of sum_at(t) over every sample time t of the selected series (0 when
+  /// none). Assumes each series is time-sorted, as every append happens at
+  /// the current sim time.
   double max_sum(const std::string& name, const Labels& selector) const;
 
   /// Spawn a process sampling all probes every `period` seconds until `stop`
@@ -122,6 +131,9 @@ class Registry {
   struct Probe {
     SeriesKey key;
     std::function<double()> fn;
+    // Resolved at the first sample; map nodes never move and series are
+    // never erased, so the handle stays valid for the registry's life.
+    TimeSeries* series = nullptr;
   };
   std::map<SeriesKey, TimeSeries> series_;
   std::vector<Probe> probes_;

@@ -10,8 +10,9 @@
 ///
 /// The event loop is allocation-free in the steady state: callbacks are
 /// util::SmallFn (48-byte inline buffer, BlockPool overflow — see
-/// util/small_fn.hpp) and the priority queue is an explicit binary heap
-/// over a reserved vector, so after warmup neither scheduling nor
+/// util/small_fn.hpp) held in a chunked slab with a free list, and the
+/// priority queue is an explicit binary heap of 24-byte (time, seq, slot)
+/// keys over a reserved vector, so after warmup neither scheduling nor
 /// dispatching an event touches the global heap. At audit level >= 2 with
 /// the alloc_stats hook linked, step() asserts this per event.
 
@@ -122,7 +123,7 @@ class Simulation {
   bool step();
 
   std::uint64_t events_processed() const { return events_processed_; }
-  bool empty() const { return queue_.empty(); }
+  bool empty() const { return heap_.empty(); }
 
   // --- invariant-audit checkpoints ------------------------------------------
   //
@@ -157,24 +158,41 @@ class Simulation {
   friend struct Task::promise_type;
   void unregister_detached(void* frame) { detached_.erase(frame); }
 
-  struct Entry {
+  /// Heap key of one pending event. Sifts move these 24 bytes only; the
+  /// callback stays put in its slab slot until it runs.
+  struct Key {
     double time;
     std::uint64_t seq;
-    util::SmallFn<void()> fn;
-    bool operator>(const Entry& o) const {
+    std::uint32_t slot;
+    bool operator>(const Key& o) const {
       if (time != o.time) return time > o.time;
       return seq > o.seq;
     }
   };
 
+  /// Slab slots per chunk. Chunks never move or shrink, so a callback's
+  /// address is stable while it runs, even if it schedules and the slab
+  /// grows another chunk.
+  static constexpr std::uint32_t kSlabChunkBits = 8;
+  static constexpr std::uint32_t kSlabChunk = 1u << kSlabChunkBits;
+
+  util::SmallFn<void()>& callback(std::uint32_t slot) {
+    return slab_[slot >> kSlabChunkBits][slot & (kSlabChunk - 1)];
+  }
+  std::uint32_t acquire_slot();
+
   double now_ = 0.0;
   std::uint64_t seq_ = 0;
   std::uint64_t events_processed_ = 0;
   // Explicit min-heap (std::push_heap/pop_heap over a reserved vector).
-  // Identical pop order to std::priority_queue for the unique (time, seq)
-  // keys — determinism hashes are bit-for-bit unchanged — but the storage
-  // is inspectable, reservable, and move-only-friendly.
-  std::vector<Entry> queue_;
+  // (time, seq) keys are unique, so any correct min-heap pops the same
+  // sequence: replay hashes do not depend on the heap's layout.
+  std::vector<Key> heap_;
+  // Callback slab: fixed-size chunks plus a LIFO free list of released
+  // slots. Slots past `slab_used_` in the last chunk were never handed out.
+  std::vector<std::vector<util::SmallFn<void()>>> slab_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint32_t slab_used_ = 0;
   std::unordered_set<void*> detached_;
 
   std::map<std::uint64_t, util::SmallFn<void()>> audit_hooks_;  // ordered: determinism

@@ -29,7 +29,7 @@ template <typename R, typename... Args>
 class SmallFn<R(Args...)> {
  public:
   /// Inline capacity: three captured pointers plus a double-sized tail.
-  /// Entry = (time, seq, SmallFn) stays one cache line pair in the heap.
+  /// With its ops pointer a SmallFn is one 64-byte callback slab slot.
   static constexpr std::size_t kInline = 48;
   static_assert(kInline >= sizeof(void*),
                 "spilled callables store their pool pointer in the buffer");

@@ -216,7 +216,9 @@ TEST(ChaosInjector, SitePartitionIslandsAndHealsOneSite) {
   EXPECT_FALSE(bed.net.link_up(wan));  // islanded
   // Intra-site links on both sides stay up.
   for (cn::LinkId l : bed.net.links_at(bed.switches[1])) {
-    if (!bed.net.link_is_wan(l)) EXPECT_TRUE(bed.net.link_up(l));
+    if (!bed.net.link_is_wan(l)) {
+      EXPECT_TRUE(bed.net.link_up(l));
+    }
   }
   bed.sim.run(40.0);
   EXPECT_TRUE(bed.net.link_up(wan));  // healed

@@ -349,7 +349,9 @@ PlacementRun run_placement_scenario(ck::KubeCluster::SchedulingPolicy policy) {
 TEST(SampledScheduler, PlacementsPinned) {
   // Pins where every pod lands, across versions of the scheduler: the hashes
   // below were recorded from the map-backed scheduler that re-sorted its
-  // candidates on every pick. A changed hash means a placement moved.
+  // candidates on every pick. A changed hash means a placement moved. The
+  // BinPack pin was re-recorded when pick_node stopped rejecting BinPack
+  // scores below -1, which had kept every lightly used node out of reach.
   using Policy = ck::KubeCluster::SchedulingPolicy;
   PlacementRun spread = run_placement_scenario(Policy::Spread);
   PlacementRun binpack = run_placement_scenario(Policy::BinPack);
@@ -362,9 +364,9 @@ TEST(SampledScheduler, PlacementsPinned) {
     EXPECT_EQ(run->edge_running_max, 40);  // the slack admits the 40th pod
   }
   EXPECT_EQ(spread.bound, 470);
-  EXPECT_EQ(binpack.bound, 212);
+  EXPECT_EQ(binpack.bound, 480);
   EXPECT_EQ(spread.hash, 0x08e2a6ed387c7a52ULL);
-  EXPECT_EQ(binpack.hash, 0x4e97a63669c0af6cULL);
+  EXPECT_EQ(binpack.hash, 0x70764b7ec07b0624ULL);
 }
 
 TEST(SampledScheduler, BogusMachinePinsStayPending) {

@@ -110,15 +110,19 @@ TEST(Integration, BinPackPolicyConsolidates) {
     }
     bed.sim.run(60.0);
     int busy = 0;
+    std::size_t bound = 0;
     for (auto machine : bed.gpu_machines()) {
-      busy += !bed.kube->node(machine).pods.empty();
+      const auto& pods = bed.kube->node(machine).pods;
+      busy += !pods.empty();
+      bound += pods.size();
     }
+    EXPECT_EQ(bound, 8u) << "every pod binds under either policy";
     return busy;
   };
   const int spread = count_busy_nodes(ck::KubeCluster::SchedulingPolicy::Spread);
   const int packed = count_busy_nodes(ck::KubeCluster::SchedulingPolicy::BinPack);
   EXPECT_EQ(spread, 8);  // one pod per node
-  EXPECT_LE(packed, 2);  // 8 pods x (2 CPU, 1 GPU) fit on one FIONA8
+  EXPECT_EQ(packed, 1);  // 8 pods x (2 CPU, 8 GB, 1 GPU) fill one FIONA8
 }
 
 TEST(Integration, KeplerExportDescribesExecutedWorkflow) {

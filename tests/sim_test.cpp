@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event.hpp"
 #include "sim/simulation.hpp"
+#include "util/small_fn.hpp"
 
 namespace cs = chase::sim;
 
@@ -53,6 +58,147 @@ TEST(Simulation, EventsProcessedCount) {
   for (int i = 0; i < 7; ++i) sim.schedule(i, [] {});
   sim.run();
   EXPECT_EQ(sim.events_processed(), 7u);
+}
+
+TEST(Simulation, SameTimeEventsFireInScheduleOrder) {
+  // (time, seq) keys are unique, so equal-time events pop in schedule order,
+  // including ones scheduled at delay 0 from inside a dispatch.
+  cs::Simulation sim;
+  std::vector<int> order;
+  sim.schedule(1.0, [&] {
+    order.push_back(0);
+    sim.schedule(0.0, [&] { order.push_back(3); });
+    sim.schedule(0.0, [&] {
+      order.push_back(4);
+      sim.schedule(0.0, [&] { order.push_back(6); });
+    });
+  });
+  sim.schedule(1.0, [&] {
+    order.push_back(1);
+    sim.schedule(0.0, [&] { order.push_back(5); });
+  });
+  sim.schedule(1.0, [&] { order.push_back(2); });
+  sim.schedule(0.5, [&] { order.push_back(-1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(Simulation, TraceIsSortedByTimeThenSeqAcrossSlabGrowth) {
+  // Thousands of events pending at once over a dozen distinct times (many
+  // slab chunks, deep heap), some scheduling more at delay 0 and later.
+  cs::Simulation sim;
+  std::vector<std::pair<double, std::uint64_t>> trace;
+  sim.set_trace_hook([&](double t, std::uint64_t seq) { trace.emplace_back(t, seq); });
+  int children = 0;
+  for (int i = 0; i < 3000; ++i) {
+    sim.schedule(static_cast<double>((i * 7919) % 13), [&sim, &children, i] {
+      if (i % 5 != 0) return;
+      ++children;
+      sim.schedule(0.0, [] {});
+      sim.schedule(static_cast<double>(i % 3), [] {});
+    });
+  }
+  sim.run();
+  EXPECT_EQ(children, 600);
+  ASSERT_EQ(trace.size(), 3000u + 2u * 600u);
+  for (std::size_t k = 1; k < trace.size(); ++k) {
+    ASSERT_LT(trace[k - 1], trace[k]) << "event " << k << " out of order";
+  }
+}
+
+namespace {
+
+/// Fills its payload on construction and poisons it on destruction, so a
+/// callable that was relocated while running reads poison.
+struct Canary {
+  std::array<std::uint64_t, 4> v{};
+  explicit Canary(std::uint64_t x) { v.fill(x); }
+  Canary(Canary&& o) noexcept : v(o.v) {}
+  ~Canary() { v.fill(0xDEADu); }
+};
+
+/// Counts its destructor runs (moved-from instances do not count).
+struct DtorCounter {
+  int* count;
+  explicit DtorCounter(int* c) : count(c) {}
+  DtorCounter(DtorCounter&& o) noexcept : count(std::exchange(o.count, nullptr)) {}
+  ~DtorCounter() {
+    if (count != nullptr) ++*count;
+  }
+};
+
+/// Appends its name to a log when destroyed.
+struct Logger {
+  std::vector<std::string>* log;
+  const char* name;
+  Logger(std::vector<std::string>* l, const char* n) : log(l), name(n) {}
+  Logger(Logger&& o) noexcept : log(std::exchange(o.log, nullptr)), name(o.name) {}
+  ~Logger() {
+    if (log != nullptr) log->push_back(name);
+  }
+};
+
+cs::Task parked(cs::Simulation* sim, std::vector<std::string>* log) {
+  Logger frame_local(log, "frame");
+  co_await sim->sleep(100.0);
+}
+
+}  // namespace
+
+TEST(Simulation, RunningCallbackStaysPutWhileTheSlabGrows) {
+  cs::Simulation sim;
+  bool intact = false;
+  chase::util::SmallFn<void()> fn = [&sim, &intact, c = Canary(42)] {
+    for (int i = 0; i < 3000; ++i) sim.schedule(1.0, [] {});
+    intact = c.v == std::array<std::uint64_t, 4>{42, 42, 42, 42};
+  };
+  ASSERT_TRUE(fn.is_inline());  // lives in its slab slot, not in the pool
+  sim.schedule(1.0, std::move(fn));
+  sim.run();
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(sim.events_processed(), 3001u);
+}
+
+TEST(Simulation, PendingCallbacksAreDestroyedOnceAtTeardown) {
+  struct Big {
+    char pad[64] = {};
+  };
+  int inline_dtors = 0;
+  int pooled_dtors = 0;
+  int fired = 0;
+  {
+    cs::Simulation sim;
+    for (int i = 0; i < 600; ++i) {
+      const double at = i % 2 == 0 ? 1.0 : 10.0;  // half run, half stay pending
+      chase::util::SmallFn<void()> small = [d = DtorCounter(&inline_dtors), &fired] {
+        ++fired;
+      };
+      chase::util::SmallFn<void()> big = [d = DtorCounter(&pooled_dtors), &fired,
+                                          b = Big{}] { fired += 1 + b.pad[0]; };
+      ASSERT_TRUE(small.is_inline());
+      ASSERT_FALSE(big.is_inline());
+      sim.schedule(at, std::move(small));
+      sim.schedule(at, std::move(big));
+    }
+    sim.run(5.0);
+    EXPECT_EQ(fired, 600);
+    EXPECT_EQ(inline_dtors, 300);  // a callback is destroyed once it has run
+    EXPECT_EQ(pooled_dtors, 300);
+  }
+  EXPECT_EQ(fired, 600);
+  EXPECT_EQ(inline_dtors, 600);
+  EXPECT_EQ(pooled_dtors, 600);
+}
+
+TEST(Simulation, TeardownDestroysPendingCallbacksBeforeFrames) {
+  std::vector<std::string> log;
+  {
+    cs::Simulation sim;
+    sim.spawn(parked(&sim, &log));
+    sim.run(1.0);
+    sim.schedule(50.0, [g = Logger(&log, "callback")] {});
+  }
+  EXPECT_EQ(log, (std::vector<std::string>{"callback", "frame"}));
 }
 
 namespace {
