@@ -27,7 +27,7 @@ int main() {
     if (gpus == 1) base = report.duration();
     const double speedup = base / report.duration();
     table.add_row({std::to_string(gpus), util::format_duration(report.duration()),
-                   "x" + util::format_double(speedup, 2),
+                   bench::times(speedup),
                    util::format_double(speedup / gpus * 100, 1) + "%"});
   }
   std::fputs(table.render("Inference GPU scaling").c_str(), stdout);

@@ -53,7 +53,9 @@ int main() {
     const double t = run_inference(kills, 0.5, &rescheduled);
     if (kills == 0) baseline = t;
     table.add_row({std::to_string(kills), util::format_duration(t),
-                   "+" + util::format_double((t / baseline - 1.0) * 100, 1) + "%",
+                   std::string("+")
+                       .append(util::format_double((t / baseline - 1.0) * 100, 1))
+                       .append("%"),
                    std::to_string(rescheduled)});
   }
   std::fputs(table.render("Node-loss recovery").c_str(), stdout);

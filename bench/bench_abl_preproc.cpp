@@ -33,7 +33,7 @@ int main() {
     const double serial_prep = std::max(1.0, serial_total - train_only);
     table.add_row({std::to_string(workers), util::format_duration(report.duration()),
                    util::format_duration(prep),
-                   "x" + util::format_double(serial_prep / std::max(1.0, prep), 2)});
+                   bench::times(serial_prep / std::max(1.0, prep))});
   }
   std::fputs(table.render("Distributed pre-processing (paper future work III-E1)").c_str(),
              stdout);

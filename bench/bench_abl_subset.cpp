@@ -48,7 +48,7 @@ int main() {
                       util::format_double(runs[0].bytes / runs[1].bytes, 2) + ")",
                   ""});
   rows.push_back({"Download speedup from subsetting", "~1.8x expected",
-                  "x" + util::format_double(runs[1].time / runs[0].time, 2),
+                  bench::times(runs[1].time / runs[0].time),
                   "extraction cost is per file"});
   bench::print_comparison("Paper vs measured", rows);
   return 0;

@@ -30,7 +30,7 @@ int main() {
     const auto& report = cwf.workflow().reports().at(0);
     if (workers == 1) base_time = report.duration();
     table.add_row({std::to_string(workers), util::format_duration(report.duration()),
-                   "x" + util::format_double(base_time / report.duration(), 2),
+                   bench::times(base_time / report.duration()),
                    util::format_rate(report.data_bytes / report.duration()),
                    std::to_string(bed.thredds->queue_length())});
   }

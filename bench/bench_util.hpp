@@ -44,9 +44,15 @@ inline void print_comparison(const std::string& title,
   std::fputs(table.render(title).c_str(), stdout);
 }
 
+/// "x1.23": a ratio to two decimals. Built with append, not "x" + string:
+/// GCC 12 at -O3 raises a false -Werror=restrict on the operator+ form.
+inline std::string times(double ratio) {
+  return std::string("x").append(util::format_double(ratio, 2));
+}
+
 inline std::string ratio_note(double measured, double paper) {
   if (paper == 0) return "";
-  return "x" + util::format_double(measured / paper, 2) + " of paper";
+  return times(measured / paper).append(" of paper");
 }
 
 inline std::string minutes(double seconds) {

@@ -41,10 +41,6 @@ CephCluster::CephCluster(sim::Simulation& sim, net::Network& net,
   audit_hook_ = sim_.add_audit_hook([this] { check_invariants(); });
 }
 
-CephCluster::CephCluster(sim::Simulation& sim, net::Network& net,
-                         cluster::Inventory& inventory, mon::Registry* metrics)
-    : CephCluster(sim, net, inventory, metrics, Options{}) {}
-
 CephCluster::~CephCluster() { sim_.remove_audit_hook(audit_hook_); }
 
 // --- OSDs -------------------------------------------------------------------------
@@ -373,85 +369,6 @@ void CephCluster::remove(const std::string& pool_name, const std::string& object
     o.used = o.used >= size ? o.used - size : 0;
   }
   group.objects.erase(oit);
-}
-
-sim::Task CephCluster::compose(std::string pool_name, std::string dst,
-                               std::vector<std::string> sources, bool* ok) {
-  *ok = false;
-  auto pit = pools_.find(pool_name);
-  if (pit == pools_.end()) co_return;
-  Pool& pool = pit->second;
-
-  // All sources must exist; total size is their sum.
-  Bytes total = 0;
-  for (const auto& src : sources) {
-    auto size = object_size(pool_name, src);
-    if (!size) co_return;
-    total += *size;
-  }
-  const int dst_pg = pg_of(pool_name, dst);
-  PlacementGroup& dst_group = pool.pgs.at(static_cast<std::size_t>(dst_pg));
-  if (dst_group.acting.empty()) co_return;
-  const std::vector<int> dst_acting = dst_group.acting;
-  const int dst_primary = dst_acting[0];
-
-  co_await sim_.sleep(options_.op_latency);
-  // Gather: each source's primary streams to the destination primary.
-  for (const auto& src : sources) {
-    const int src_pg = pg_of(pool_name, src);
-    const auto& src_group = pool.pgs.at(static_cast<std::size_t>(src_pg));
-    auto oit = src_group.objects.find(src);
-    if (oit == src_group.objects.end() || src_group.acting.empty()) co_return;
-    const Bytes size = oit->second;
-    const int src_primary = src_group.acting[0];
-    if (src_primary != dst_primary) {
-      auto xfer = net_.transfer(osd_net_node(src_primary), osd_net_node(dst_primary),
-                                size);
-      co_await xfer->done->wait(sim_);
-      if (xfer->failed) co_return;
-    }
-    co_await disk_io(dst_primary, size, /*write=*/true);
-  }
-  // Replicate the composed object.
-  for (std::size_t r = 1; r < dst_acting.size(); ++r) {
-    auto xfer = net_.transfer(osd_net_node(dst_primary), osd_net_node(dst_acting[r]),
-                              total);
-    co_await xfer->done->wait(sim_);
-    if (xfer->failed) co_return;
-    co_await disk_io(dst_acting[r], total, /*write=*/true);
-  }
-  // Commit: account the destination, free the sources. Re-acquire the PG:
-  // `dst_group` was bound before the gather/replicate awaits, and the pool
-  // may have been dropped while this frame was suspended.
-  auto commit_pit = pools_.find(pool_name);
-  if (commit_pit == pools_.end()) co_return;
-  PlacementGroup& commit_group =
-      commit_pit->second.pgs.at(static_cast<std::size_t>(dst_pg));
-  auto existing = commit_group.objects.find(dst);
-  const Bytes old_size = existing == commit_group.objects.end() ? 0 : existing->second;
-  commit_group.objects[dst] = total;
-  for (int osd : dst_acting) {
-    auto& o = osds_.at(static_cast<std::size_t>(osd));
-    if (!o.up) continue;  // replica died mid-compose; its copy is gone
-    o.used += total;
-    o.used = o.used >= old_size ? o.used - old_size : 0;
-  }
-  bytes_written_ += static_cast<double>(total) * static_cast<double>(dst_acting.size());
-  for (const auto& src : sources) {
-    if (src != dst) remove(pool_name, src);
-  }
-  *ok = true;
-}
-
-sim::Task CephCluster::put(net::NodeId client, std::string pool, std::string object,
-                           Bytes size) {
-  auto io = put_async(client, pool, object, size);
-  co_await io->done->wait(sim_);
-}
-
-sim::Task CephCluster::get(net::NodeId client, std::string pool, std::string object) {
-  auto io = get_async(client, pool, object);
-  co_await io->done->wait(sim_);
 }
 
 bool CephCluster::exists(const std::string& pool, const std::string& object) const {

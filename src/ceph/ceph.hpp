@@ -64,8 +64,6 @@ class CephCluster {
 
   CephCluster(sim::Simulation& sim, net::Network& net, cluster::Inventory& inventory,
               mon::Registry* metrics, Options options);
-  CephCluster(sim::Simulation& sim, net::Network& net, cluster::Inventory& inventory,
-              mon::Registry* metrics = nullptr);
   ~CephCluster();
   CephCluster(const CephCluster&) = delete;
   CephCluster& operator=(const CephCluster&) = delete;
@@ -101,19 +99,6 @@ class CephCluster {
   IoPtr get_async(net::NodeId client, const std::string& pool, const std::string& object);
   /// Delete an object (frees capacity).
   void remove(const std::string& pool, const std::string& object);
-
-  /// Server-side compose: concatenate `sources` into `dst` without client
-  /// traffic — data moves between OSD primaries over the cluster network,
-  /// is re-replicated at the destination placement, and the sources are
-  /// freed. Used by the S3 gateway's multipart completion.
-  /// (Coroutine: string parameters are taken by value so they live in the
-  /// frame across suspension points — see chase_lint coro-ref-param.)
-  sim::Task compose(std::string pool, std::string dst,
-                    std::vector<std::string> sources, bool* ok);
-
-  /// Coroutine sugar: await completion (success or failure).
-  sim::Task put(net::NodeId client, std::string pool, std::string object, Bytes size);
-  sim::Task get(net::NodeId client, std::string pool, std::string object);
 
   bool exists(const std::string& pool, const std::string& object) const;
   std::optional<Bytes> object_size(const std::string& pool, const std::string& object) const;

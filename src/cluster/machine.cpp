@@ -126,10 +126,4 @@ Bytes Inventory::total_memory() const {
   return n;
 }
 
-Bytes Inventory::total_disk() const {
-  Bytes n = 0;
-  for (const auto& m : machines_) n += m.spec.disk_capacity;
-  return n;
-}
-
 }  // namespace chase::cluster

@@ -78,7 +78,6 @@ class Inventory {
   int total_gpus() const;
   int total_cpus() const;
   Bytes total_memory() const;
-  Bytes total_disk() const;
 
  private:
   net::Network& net_;

@@ -114,7 +114,6 @@ double ConnectWorkflow::scaled_archive_bytes() const {
 double ConnectWorkflow::scaled_inference_voxels() const { return state_->inference_voxels; }
 
 std::uint64_t ConnectWorkflow::files_fetched() const { return state_->files_fetched; }
-int ConnectWorkflow::download_retries() const { return state_->download_retries; }
 
 // ---------------------------------------------------------------------------------
 // Pod programs (all capture the shared workflow state; closures live in the

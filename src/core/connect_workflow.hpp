@@ -100,8 +100,6 @@ class ConnectWorkflow {
   /// Files durably downloaded exactly once (byte-conservation check: equals
   /// scaled_file_count() after a completed step 1, faults or not).
   std::uint64_t files_fetched() const;
-  /// Fault-path retries across download workers and mergers.
-  int download_retries() const;
 
   /// Shared mutable state between the step bodies and pod programs
   /// (public so the program factories can reference it; treat as internal).

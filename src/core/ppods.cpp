@@ -116,7 +116,8 @@ std::string PpodsSession::render_board() const {
                               : "FAILING: " + last->failed_expectations.front();
     }
     table.add_row({step, owner, std::to_string(runs.size()), best,
-                   "x" + util::format_double(improvement(step), 2), status});
+                   std::string("x").append(util::format_double(improvement(step), 2)),
+                   status});
   }
   return table.render("PPoDS session '" + name_ + "'");
 }

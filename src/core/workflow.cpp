@@ -6,7 +6,6 @@ namespace chase::wf {
 
 kube::KubeCluster& StepContext::kube() const { return workflow_.kube_; }
 sim::Simulation& StepContext::sim() const { return workflow_.kube_.sim(); }
-mon::Registry& StepContext::metrics() const { return workflow_.metrics_; }
 const std::string& StepContext::ns() const { return workflow_.ns_; }
 
 void StepContext::add_data(double bytes) { data_bytes_ += bytes; }

@@ -46,7 +46,6 @@ class StepContext {
 
   kube::KubeCluster& kube() const;
   sim::Simulation& sim() const;
-  mon::Registry& metrics() const;
   const std::string& ns() const;
 
   /// Label value all of this step's pods must carry ("step" -> label) so the

@@ -437,128 +437,6 @@ void KubeCluster::delete_replica_set(const std::string& ns, const std::string& n
   }
 }
 
-void KubeCluster::scale_replica_set(const std::string& ns, const std::string& name,
-                                    int replicas) {
-  auto it = replica_sets_.find(key_of(ns, name));
-  if (it == replica_sets_.end()) return;
-  ReplicaSetPtr rs = it->second;
-  rs->spec.replicas = replicas;
-  if (rs->active > replicas) {
-    // Scale down: delete the newest non-terminal pods first.
-    std::vector<PodPtr> owned;
-    for (const auto& pod : list_pods(ns)) {
-      if (pod->owner.kind == "ReplicaSet" && pod->owner.name == name &&
-          !pod->terminal()) {
-        owned.push_back(pod);
-      }
-    }
-    std::sort(owned.begin(), owned.end(), [](const PodPtr& a, const PodPtr& b) {
-      return a->meta.uid > b->meta.uid;
-    });
-    // Mark the ReplicaSet as deleted around each removal so the controller
-    // does not replace the pods we are intentionally removing.
-    const int excess = rs->active - replicas;
-    for (int i = 0; i < excess && i < static_cast<int>(owned.size()); ++i) {
-      const bool was_deleted = rs->deleted;
-      rs->deleted = true;
-      delete_pod(ns, owned[static_cast<std::size_t>(i)]->meta.name);
-      rs->deleted = was_deleted;
-    }
-  }
-  reconcile_replica_set(rs);
-}
-
-Result<DeploymentPtr> KubeCluster::create_deployment(DeploymentSpec spec,
-                                                     const auth::Token* token) {
-  const std::string key = key_of(spec.ns, spec.name);
-  if (deployments_.count(key)) return {nullptr, "deployment '" + key + "' already exists"};
-  auto deployment = std::make_shared<Deployment>();
-  deployment->spec = spec;
-  deployment->revision = 1;
-
-  ReplicaSetSpec rs;
-  rs.ns = spec.ns;
-  rs.name = deployment_rs_name(*deployment, 1);
-  rs.labels = spec.labels;
-  rs.labels["deployment"] = spec.name;
-  rs.pod_template = spec.pod_template;
-  rs.replicas = spec.replicas;
-  auto created = create_replica_set(rs, token);
-  if (!created.ok()) return {nullptr, created.error};
-  deployments_[key] = deployment;
-  deployment->rolled_out->trigger(sim_);
-  return {deployment, ""};
-}
-
-void KubeCluster::update_deployment(const std::string& ns, const std::string& name,
-                                    PodSpec new_template) {
-  auto it = deployments_.find(key_of(ns, name));
-  if (it == deployments_.end()) return;
-  DeploymentPtr deployment = it->second;
-  deployment->spec.pod_template = std::move(new_template);
-  deployment->revision += 1;
-  deployment->rolling = true;
-  deployment->rolled_out = sim::make_event();  // re-arm for this rollout
-  sim_.spawn(roll_deployment(this, deployment, deployment->revision));
-}
-
-sim::Task KubeCluster::roll_deployment(KubeCluster* self, DeploymentPtr deployment,
-                                       int target_revision) {
-  const std::string ns = deployment->spec.ns;
-  const std::string old_rs = self->deployment_rs_name(*deployment, target_revision - 1);
-  const std::string new_rs = self->deployment_rs_name(*deployment, target_revision);
-
-  ReplicaSetSpec rs;
-  rs.ns = ns;
-  rs.name = new_rs;
-  rs.labels = deployment->spec.labels;
-  rs.labels["deployment"] = deployment->spec.name;
-  rs.labels["revision"] = std::to_string(target_revision);
-  rs.pod_template = deployment->spec.pod_template;
-  rs.replicas = 0;
-  self->create_replica_set(rs);
-
-  // Surge one new pod at a time; retire an old one once the replacement is
-  // Running (max unavailable 0).
-  for (int i = 1; i <= deployment->spec.replicas; ++i) {
-    if (deployment->revision != target_revision) co_return;  // superseded
-    self->scale_replica_set(ns, new_rs, i);
-    // Wait for the i-th new pod to be Running.
-    while (true) {
-      int running = 0;
-      for (const auto& pod : self->list_pods(ns, {{"replicaset", new_rs}})) {
-        running += pod->phase == PodPhase::Running;
-      }
-      if (running >= i || deployment->revision != target_revision) break;
-      co_await self->sim_.sleep(1.0);
-    }
-    if (deployment->revision != target_revision) co_return;
-    self->scale_replica_set(ns, old_rs, deployment->spec.replicas - i);
-  }
-  if (deployment->revision != target_revision) co_return;
-  self->delete_replica_set(ns, old_rs);
-  self->replica_sets_.erase(key_of(ns, old_rs));
-  deployment->rolling = false;
-  deployment->rolled_out->trigger(self->sim_);
-}
-
-void KubeCluster::delete_deployment(const std::string& ns, const std::string& name) {
-  auto it = deployments_.find(key_of(ns, name));
-  if (it == deployments_.end()) return;
-  DeploymentPtr deployment = it->second;
-  deployment->revision += 1;  // cancels any in-flight rollout
-  for (int rev = 1; rev <= deployment->revision; ++rev) {
-    delete_replica_set(ns, deployment_rs_name(*deployment, rev));
-  }
-  deployments_.erase(it);
-}
-
-DeploymentPtr KubeCluster::get_deployment(const std::string& ns,
-                                          const std::string& name) const {
-  auto it = deployments_.find(key_of(ns, name));
-  return it == deployments_.end() ? nullptr : it->second;
-}
-
 Result<DaemonSetPtr> KubeCluster::create_daemon_set(DaemonSetSpec spec,
                                                     const auth::Token* token) {
   if (sso_ != nullptr && rbac_ != nullptr) {
@@ -618,7 +496,6 @@ sim::Task KubeCluster::cron_loop(KubeCluster* self, CronJobPtr cron) {
   while (!cron->deleted) {
     co_await self->sim_.sleep(cron->spec.period);
     if (cron->deleted) co_return;
-    if (cron->suspended) continue;
     if (cron->spec.forbid_concurrent && cron->last_job != nullptr &&
         !cron->last_job->complete && !cron->last_job->failed_state) {
       cron->skipped += 1;
@@ -634,12 +511,6 @@ sim::Task KubeCluster::cron_loop(KubeCluster* self, CronJobPtr cron) {
     cron->fired += 1;
     if (result.ok()) cron->last_job = result.value;
   }
-}
-
-void KubeCluster::suspend_cron_job(const std::string& ns, const std::string& name,
-                                   bool suspended) {
-  auto it = cron_jobs_.find(key_of(ns, name));
-  if (it != cron_jobs_.end()) it->second->suspended = suspended;
 }
 
 void KubeCluster::delete_cron_job(const std::string& ns, const std::string& name) {

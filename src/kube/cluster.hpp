@@ -202,19 +202,6 @@ class KubeCluster {
   Result<ReplicaSetPtr> create_replica_set(ReplicaSetSpec spec,
                                            const auth::Token* token = nullptr);
   void delete_replica_set(const std::string& ns, const std::string& name);
-  /// Change a ReplicaSet's desired replica count: scales up by creating
-  /// pods, down by deleting the newest pods first.
-  void scale_replica_set(const std::string& ns, const std::string& name, int replicas);
-
-  Result<DeploymentPtr> create_deployment(DeploymentSpec spec,
-                                          const auth::Token* token = nullptr);
-  /// Roll the deployment to a new pod template, one pod at a time
-  /// (surge 1). `rolled_out` is re-armed and fires when the new revision
-  /// fully owns the replicas.
-  void update_deployment(const std::string& ns, const std::string& name,
-                         PodSpec new_template);
-  void delete_deployment(const std::string& ns, const std::string& name);
-  DeploymentPtr get_deployment(const std::string& ns, const std::string& name) const;
 
   /// One pod per matching ready node; pods are added when nodes register or
   /// come back, and their losses are not replaced elsewhere.
@@ -223,10 +210,9 @@ class KubeCluster {
   void delete_daemon_set(const std::string& ns, const std::string& name);
 
   /// Fire the job template every `period` seconds (first firing one period
-  /// from now). Suspend/resume pauses firings; delete stops them.
+  /// from now); delete stops the firings.
   Result<CronJobPtr> create_cron_job(CronJobSpec spec,
                                      const auth::Token* token = nullptr);
-  void suspend_cron_job(const std::string& ns, const std::string& name, bool suspended);
   void delete_cron_job(const std::string& ns, const std::string& name);
 
   void create_service(ServiceSpec spec);
@@ -344,11 +330,6 @@ class KubeCluster {
   void reconcile_daemon_set(const DaemonSetPtr& ds);
   static sim::Task cron_loop(KubeCluster* self, CronJobPtr cron);
   void notify_watchers(const PodPtr& pod);
-  static sim::Task roll_deployment(KubeCluster* self, DeploymentPtr deployment,
-                                   int target_revision);
-  std::string deployment_rs_name(const Deployment& deployment, int revision) const {
-    return deployment.spec.name + "-rev" + std::to_string(revision);
-  }
 
   sim::Simulation& sim_;
   net::Network& net_;
@@ -365,7 +346,6 @@ class KubeCluster {
   std::map<std::string, PodPtr> pods_;          // key ns + "/" + name
   std::map<std::string, JobPtr> jobs_;          // key ns + "/" + name
   std::map<std::string, ReplicaSetPtr> replica_sets_;
-  std::map<std::string, DeploymentPtr> deployments_;
   std::map<std::string, DaemonSetPtr> daemon_sets_;
   std::map<std::string, CronJobPtr> cron_jobs_;
   std::map<std::string, ServiceSpec> services_;

@@ -28,20 +28,6 @@ std::string ResourceList::to_string() const {
   return os.str();
 }
 
-const char* phase_name(PodPhase p) {
-  switch (p) {
-    case PodPhase::Pending:
-      return "Pending";
-    case PodPhase::Running:
-      return "Running";
-    case PodPhase::Succeeded:
-      return "Succeeded";
-    case PodPhase::Failed:
-      return "Failed";
-  }
-  return "?";
-}
-
 ResourceList Pod::requests() const {
   ResourceList total;
   for (const auto& c : spec.containers) total += c.requests;

@@ -116,7 +116,6 @@ struct PodSpec {
 };
 
 enum class PodPhase { Pending, Running, Succeeded, Failed };
-const char* phase_name(PodPhase p);
 
 struct Pod {
   ObjectMeta meta;
@@ -197,25 +196,6 @@ struct ReplicaSet {
 
 using ReplicaSetPtr = std::shared_ptr<ReplicaSet>;
 
-/// Declarative rollout over ReplicaSets: each revision owns one ReplicaSet;
-/// updates roll pods over one at a time (surge 1 / max unavailable 0).
-struct DeploymentSpec {
-  std::string ns;
-  std::string name;
-  Labels labels;
-  PodSpec pod_template;
-  int replicas = 1;
-};
-
-struct Deployment {
-  DeploymentSpec spec;
-  int revision = 0;            // current revision number
-  bool rolling = false;        // an update is in progress
-  sim::EventPtr rolled_out = sim::make_event();  // fires when stable
-};
-
-using DeploymentPtr = std::shared_ptr<Deployment>;
-
 /// One pod on every (matching) node — monitoring agents, log shippers, the
 /// device plugin itself. Pods follow nodes as they join and leave.
 struct DaemonSetSpec {
@@ -251,7 +231,6 @@ struct CronJobSpec {
 
 struct CronJob {
   CronJobSpec spec;
-  bool suspended = false;
   bool deleted = false;
   std::uint64_t fired = 0;     // firings attempted
   std::uint64_t skipped = 0;   // skipped due to Forbid

@@ -156,7 +156,6 @@ void ShardedIvtDataset::example(int shard, int step, Tensor4& input,
 class RingAllReduceStrategy final : public SyncStrategy {
  public:
   explicit RingAllReduceStrategy(DistTrainer* core) : core_(core) {}
-  const char* name() const override { return "ring_allreduce"; }
 
   sim::Task acquire(kube::PodContext* ctx, int slot, int step, FfnModel* replica,
                     int* replica_version) override {
@@ -213,7 +212,6 @@ class RingAllReduceStrategy final : public SyncStrategy {
 class ParamServerStrategy final : public SyncStrategy {
  public:
   explicit ParamServerStrategy(DistTrainer* core) : core_(core) {}
-  const char* name() const override { return "param_server"; }
 
   sim::Task acquire(kube::PodContext* ctx, int slot, int step, FfnModel* replica,
                     int* replica_version) override {

@@ -149,7 +149,6 @@ class DistTrainer;
 class SyncStrategy {
  public:
   virtual ~SyncStrategy() = default;
-  virtual const char* name() const = 0;
   /// Suspend until shard `slot` may compute global step `step`, then bring
   /// `replica` to the weights that step must use (paying any pull traffic).
   virtual sim::Task acquire(kube::PodContext* ctx, int slot, int step,

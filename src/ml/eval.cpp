@@ -1,8 +1,5 @@
 #include "ml/eval.hpp"
 
-#include <map>
-#include <set>
-
 namespace chase::ml {
 
 double VoxelMetrics::precision() const {
@@ -26,10 +23,8 @@ double VoxelMetrics::f1() const {
   return (p + r) == 0.0 ? 0.0 : 2.0 * p * r / (p + r);
 }
 
-namespace {
-
-template <typename P>
-VoxelMetrics compute(const P& predicted, const Volume<std::uint8_t>& truth) {
+VoxelMetrics voxel_metrics(const Volume<std::int32_t>& predicted,
+                           const Volume<std::uint8_t>& truth) {
   VoxelMetrics m;
   for (int z = 0; z < truth.nz(); ++z) {
     for (int y = 0; y < truth.ny(); ++y) {
@@ -45,50 +40,6 @@ VoxelMetrics compute(const P& predicted, const Volume<std::uint8_t>& truth) {
         }
       }
     }
-  }
-  return m;
-}
-
-}  // namespace
-
-VoxelMetrics voxel_metrics(const Volume<std::int32_t>& predicted,
-                           const Volume<std::uint8_t>& truth) {
-  return compute(predicted, truth);
-}
-
-VoxelMetrics voxel_metrics(const Volume<std::uint8_t>& predicted,
-                           const Volume<std::uint8_t>& truth) {
-  return compute(predicted, truth);
-}
-
-ObjectMetrics object_metrics(const Volume<std::int32_t>& predicted,
-                             const Volume<std::int32_t>& truth_labels,
-                             double overlap_fraction) {
-  std::map<std::int32_t, std::uint64_t> truth_sizes;
-  std::map<std::int32_t, std::uint64_t> covered;
-  std::set<std::int32_t> predicted_ids;
-  for (int z = 0; z < truth_labels.nz(); ++z) {
-    for (int y = 0; y < truth_labels.ny(); ++y) {
-      for (int x = 0; x < truth_labels.nx(); ++x) {
-        const std::int32_t t = truth_labels.at(x, y, z);
-        const std::int32_t p = predicted.at(x, y, z);
-        if (p != 0) predicted_ids.insert(p);
-        if (t != 0) {
-          ++truth_sizes[t];
-          if (p != 0) ++covered[t];
-        }
-      }
-    }
-  }
-  ObjectMetrics m;
-  m.truth_objects = static_cast<int>(truth_sizes.size());
-  m.predicted_objects = static_cast<int>(predicted_ids.size());
-  for (const auto& [id, size] : truth_sizes) {
-    const auto it = covered.find(id);
-    const double fraction =
-        it == covered.end() ? 0.0
-                            : static_cast<double>(it->second) / static_cast<double>(size);
-    if (fraction >= overlap_fraction) ++m.detected;
   }
   return m;
 }

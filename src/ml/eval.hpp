@@ -1,10 +1,9 @@
 #pragma once
 /// \file eval.hpp
-/// Segmentation quality metrics: voxel-level precision/recall/IoU/F1 and
-/// object-level detection scores (an object counts as detected if a
-/// predicted segment overlaps most of it). Used to validate the FFN against
-/// the CONNECT ground truth ("the training volume is removed from the test
-/// data volume for all validation metrics", §III-C).
+/// Segmentation quality metrics: voxel-level precision/recall/IoU/F1, used
+/// to validate the FFN against the CONNECT ground truth ("the training
+/// volume is removed from the test data volume for all validation metrics",
+/// §III-C).
 
 #include <cstdint>
 
@@ -25,23 +24,5 @@ struct VoxelMetrics {
 /// Compare a predicted mask (nonzero = object) against truth (nonzero = object).
 VoxelMetrics voxel_metrics(const Volume<std::int32_t>& predicted,
                            const Volume<std::uint8_t>& truth);
-VoxelMetrics voxel_metrics(const Volume<std::uint8_t>& predicted,
-                           const Volume<std::uint8_t>& truth);
-
-struct ObjectMetrics {
-  int truth_objects = 0;
-  int detected = 0;       // truth objects with >= overlap_fraction covered
-  int predicted_objects = 0;
-  double detection_rate() const {
-    return truth_objects == 0 ? 0.0 : static_cast<double>(detected) / truth_objects;
-  }
-};
-
-/// Object-level detection: truth objects come from a labelled truth volume
-/// (ids 1..N); a truth object is detected when at least `overlap_fraction`
-/// of its voxels carry any predicted segment id.
-ObjectMetrics object_metrics(const Volume<std::int32_t>& predicted,
-                             const Volume<std::int32_t>& truth_labels,
-                             double overlap_fraction = 0.5);
 
 }  // namespace chase::ml

@@ -17,42 +17,6 @@ double TimeSeries::max_over_time() const {
   return m;
 }
 
-double TimeSeries::min_over_time() const {
-  double m = 0.0;
-  bool first = true;
-  for (auto [t, v] : samples_) {
-    m = first ? v : std::min(m, v);
-    first = false;
-  }
-  return m;
-}
-
-double TimeSeries::avg_over_time() const {
-  if (samples_.empty()) return 0.0;
-  double s = 0.0;
-  for (auto [t, v] : samples_) s += v;
-  return s / static_cast<double>(samples_.size());
-}
-
-double TimeSeries::rate() const {
-  if (samples_.size() < 2) return 0.0;
-  const auto& [t0, v0] = samples_.front();
-  const auto& [t1, v1] = samples_.back();
-  if (t1 <= t0) return 0.0;
-  return (v1 - v0) / (t1 - t0);
-}
-
-double TimeSeries::quantile_over_time(double q) const {
-  if (samples_.empty()) return 0.0;
-  std::vector<double> values;
-  values.reserve(samples_.size());
-  for (auto [t, v] : samples_) values.push_back(v);
-  std::sort(values.begin(), values.end());
-  q = std::min(std::max(q, 0.0), 1.0);
-  const auto index = static_cast<std::size_t>(q * static_cast<double>(values.size() - 1));
-  return values[index];
-}
-
 double TimeSeries::value_at(double t) const {
   auto it = std::upper_bound(
       samples_.begin(), samples_.end(), t,
@@ -170,31 +134,6 @@ void Registry::sample_now(double t) {
     if (probe.series == nullptr) probe.series = &series_[probe.key];
     probe.series->append(t, probe.fn());
   }
-  for (auto& alert : alerts_) {
-    const double value = sum_at(alert.rule.metric, alert.rule.selector, t);
-    const bool fire =
-        alert.rule.above ? value > alert.rule.threshold : value < alert.rule.threshold;
-    if (fire && !alert.firing) {
-      alert.firing = true;
-      alert.since = t;
-      alert.transitions += 1;
-    } else if (!fire && alert.firing) {
-      alert.firing = false;
-    }
-    record("alert_firing", {{"alert", alert.rule.name}}, t, alert.firing ? 1.0 : 0.0);
-  }
-}
-
-void Registry::add_alert(AlertRule rule) {
-  alerts_.push_back(AlertState{std::move(rule), false, 0.0, 0});
-}
-
-std::vector<std::string> Registry::firing_alerts() const {
-  std::vector<std::string> out;
-  for (const auto& alert : alerts_) {
-    if (alert.firing) out.push_back(alert.rule.name);
-  }
-  return out;
 }
 
 std::string key_to_string(const SeriesKey& key) {

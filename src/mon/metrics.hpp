@@ -3,8 +3,8 @@
 /// The Prometheus/Grafana substitute (paper §II-A, Figures 3–6): a metric
 /// registry with labelled time series, pull-style probes sampled on a fixed
 /// period by a simulation process, push-style counters/gauges, and the query
-/// functions (max/avg/rate over time) the benchmark reports use to regenerate
-/// the paper's dashboard panels.
+/// functions (max over time, sums across series) the benchmark reports use
+/// to regenerate the paper's dashboard panels.
 
 #include <functional>
 #include <map>
@@ -38,36 +38,11 @@ class TimeSeries {
 
   double last() const { return samples_.empty() ? 0.0 : samples_.back().second; }
   double max_over_time() const;
-  double min_over_time() const;
-  double avg_over_time() const;
-  /// Average increase per second between first and last sample (for
-  /// cumulative counters).
-  double rate() const;
   /// Value at or before `t` (step interpolation); 0 before first sample.
   double value_at(double t) const;
-  /// Quantile of the sampled values, q in [0, 1].
-  double quantile_over_time(double q) const;
 
  private:
   std::vector<std::pair<double, double>> samples_;
-};
-
-/// Threshold alert over selected series (the Grafana alerting model): fires
-/// when the aggregate (sum across matching series) crosses the threshold.
-struct AlertRule {
-  std::string name;
-  std::string metric;
-  Labels selector;
-  /// true: fire when sum > threshold; false: fire when sum < threshold.
-  bool above = true;
-  double threshold = 0.0;
-};
-
-struct AlertState {
-  AlertRule rule;
-  bool firing = false;
-  double since = 0.0;       // when the current firing episode began
-  int transitions = 0;      // count of fired events
 };
 
 class Registry {
@@ -107,15 +82,8 @@ class Registry {
   /// fires (sampling once more after it fires, then exiting).
   void start_sampler(sim::Simulation& sim, double period, sim::EventPtr stop);
 
-  /// Take one sample of every probe right now (also evaluates alert rules).
+  /// Take one sample of every probe right now.
   void sample_now(double t);
-
-  /// Register an alert rule; evaluated at every sample. The alert's boolean
-  /// state is recorded as series "alert_firing"{alert=<name>}.
-  void add_alert(AlertRule rule);
-  const std::vector<AlertState>& alerts() const { return alerts_; }
-  /// Names of alerts currently firing.
-  std::vector<std::string> firing_alerts() const;
 
   /// Render selected series as an ASCII chart (the "Grafana panel").
   std::string chart(const std::string& title, const std::string& value_label,
@@ -137,7 +105,6 @@ class Registry {
   };
   std::map<SeriesKey, TimeSeries> series_;
   std::vector<Probe> probes_;
-  std::vector<AlertState> alerts_;
 };
 
 /// Format a series key as name{k=v,...} for legends.

@@ -1,7 +1,5 @@
 #include "redis/redis.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace chase::redis {
@@ -124,14 +122,6 @@ std::optional<std::string> RedisServer::lpop_lease(const std::string& key, doubl
   return v;
 }
 
-std::optional<std::string> RedisServer::rpop(const std::string& key) {
-  auto it = lists_.find(key);
-  if (it == lists_.end() || it->second.empty()) return std::nullopt;
-  std::string v = std::move(it->second.back());
-  it->second.pop_back();
-  return v;
-}
-
 std::size_t RedisServer::llen(const std::string& key) const {
   auto it = lists_.find(key);
   return it == lists_.end() ? 0 : it->second.size();
@@ -139,16 +129,6 @@ std::size_t RedisServer::llen(const std::string& key) const {
 
 bool RedisServer::sadd(const std::string& key, const std::string& member) {
   return sets_[key].insert(member).second;
-}
-
-bool RedisServer::srem(const std::string& key, const std::string& member) {
-  auto it = sets_.find(key);
-  return it != sets_.end() && it->second.erase(member) > 0;
-}
-
-bool RedisServer::sismember(const std::string& key, const std::string& member) const {
-  auto it = sets_.find(key);
-  return it != sets_.end() && it->second.count(member) > 0;
 }
 
 std::size_t RedisServer::scard(const std::string& key) const {
@@ -162,25 +142,6 @@ std::vector<std::string> RedisServer::smembers(const std::string& key) const {
   return {it->second.begin(), it->second.end()};
 }
 
-void RedisServer::hset(const std::string& key, const std::string& field,
-                       std::string value) {
-  hashes_[key][field] = std::move(value);
-}
-
-std::optional<std::string> RedisServer::hget(const std::string& key,
-                                             const std::string& field) const {
-  auto it = hashes_.find(key);
-  if (it == hashes_.end()) return std::nullopt;
-  auto fit = it->second.find(field);
-  if (fit == it->second.end()) return std::nullopt;
-  return fit->second;
-}
-
-std::size_t RedisServer::hlen(const std::string& key) const {
-  auto it = hashes_.find(key);
-  return it == hashes_.end() ? 0 : it->second.size();
-}
-
 void RedisServer::set(const std::string& key, std::string value) {
   strings_[key] = std::move(value);
 }
@@ -189,75 +150,6 @@ std::optional<std::string> RedisServer::get(const std::string& key) const {
   auto it = strings_.find(key);
   if (it == strings_.end()) return std::nullopt;
   return it->second;
-}
-
-bool RedisServer::del(const std::string& key) {
-  return strings_.erase(key) + lists_.erase(key) + sets_.erase(key) +
-             hashes_.erase(key) >
-         0;
-}
-
-std::int64_t RedisServer::incrby(const std::string& key, std::int64_t delta) {
-  std::int64_t v = 0;
-  if (auto it = strings_.find(key); it != strings_.end()) {
-    v = std::stoll(it->second);
-  }
-  v += delta;
-  strings_[key] = std::to_string(v);
-  return v;
-}
-
-void RedisServer::expire(const std::string& key, double seconds) {
-  const std::uint64_t generation = ++expiry_generation_;
-  expiries_[key] = Expiry{sim_.now() + seconds, generation};
-  sim_.schedule(seconds, [this, key, generation] {
-    auto it = expiries_.find(key);
-    if (it == expiries_.end() || it->second.generation != generation) return;
-    expiries_.erase(it);
-    del(key);
-  });
-}
-
-std::optional<double> RedisServer::ttl(const std::string& key) const {
-  auto it = expiries_.find(key);
-  if (it == expiries_.end()) return std::nullopt;
-  return it->second.deadline - sim_.now();
-}
-
-bool RedisServer::persist(const std::string& key) {
-  return expiries_.erase(key) > 0;
-}
-
-RedisServer::SubscriptionPtr RedisServer::subscribe(const std::string& channel) {
-  auto sub = std::make_shared<Subscription>();
-  channels_[channel].push_back(sub);
-  return sub;
-}
-
-void RedisServer::unsubscribe(const std::string& channel, const SubscriptionPtr& sub) {
-  auto it = channels_.find(channel);
-  if (it == channels_.end()) return;
-  auto& subs = it->second;
-  subs.erase(std::remove(subs.begin(), subs.end(), sub), subs.end());
-}
-
-std::size_t RedisServer::publish(const std::string& channel, const std::string& message) {
-  auto it = channels_.find(channel);
-  if (it == channels_.end()) return 0;
-  for (auto& sub : it->second) {
-    sub->messages.push_back(message);
-    sub->ready->trigger(sim_);
-  }
-  return it->second.size();
-}
-
-std::size_t RedisServer::subscriber_count(const std::string& channel) const {
-  auto it = channels_.find(channel);
-  return it == channels_.end() ? 0 : it->second.size();
-}
-
-std::size_t RedisServer::total_keys() const {
-  return lists_.size() + sets_.size() + hashes_.size() + strings_.size();
 }
 
 void RedisServer::check_invariants() const {
@@ -286,26 +178,6 @@ void RedisServer::check_invariants() const {
                     "lease on key '" + lease.key + "' outlived its deadline");
     CHASE_INVARIANT(id < next_lease_id_, "lease id from the future");
   }
-  // Expiries fire exactly at their deadline, so no key outlives it.
-  for (const auto& [key, expiry] : expiries_) {
-    CHASE_INVARIANT(expiry.deadline >= sim_.now() - 1e-9,
-                    "key '" + key + "' outlived its expiry deadline");
-    CHASE_INVARIANT(expiry.generation <= expiry_generation_,
-                    "expiry generation from the future");
-  }
-  for (const auto& [channel, subs] : channels_) {
-    for (const auto& sub : subs) {
-      CHASE_INVARIANT(sub != nullptr, "null subscription on channel '" + channel + "'");
-    }
-    // Expensive: a subscription registered twice would double-deliver every
-    // publish.
-    for (std::size_t i = 0; i < subs.size(); ++i) {
-      for (std::size_t j = i + 1; j < subs.size(); ++j) {
-        CHASE_AUDIT(subs[i] != subs[j],
-                    "duplicate subscription on channel '" + channel + "'");
-      }
-    }
-  }
 }
 
 // --- client ----------------------------------------------------------------------
@@ -328,21 +200,6 @@ sim::Task RedisClient::rpush(std::string key, std::string value, bool* ok) {
   bool fine = false;
   co_await round_trip(&fine);
   if (fine) server_.rpush(key, std::move(value));
-  if (ok != nullptr) *ok = fine;
-}
-
-sim::Task RedisClient::lpush(std::string key, std::string value, bool* ok) {
-  bool fine = false;
-  co_await round_trip(&fine);
-  if (fine) server_.lpush(key, std::move(value));
-  if (ok != nullptr) *ok = fine;
-}
-
-sim::Task RedisClient::lpop(std::string key, std::optional<std::string>* out,
-                            bool* ok) {
-  bool fine = false;
-  co_await round_trip(&fine);
-  if (fine) *out = server_.lpop(key);
   if (ok != nullptr) *ok = fine;
 }
 
@@ -432,13 +289,6 @@ sim::Task RedisClient::ack(std::uint64_t lease_id, bool* acked, bool* ok) {
   if (ok != nullptr) *ok = fine;
 }
 
-sim::Task RedisClient::llen(std::string key, std::size_t* out, bool* ok) {
-  bool fine = false;
-  co_await round_trip(&fine);
-  if (fine) *out = server_.llen(key);
-  if (ok != nullptr) *ok = fine;
-}
-
 sim::Task RedisClient::sadd(std::string key, std::string member,
                             bool* added, bool* ok) {
   bool fine = false;
@@ -457,28 +307,6 @@ sim::Task RedisClient::scard(std::string key, std::size_t* out, bool* ok) {
   if (ok != nullptr) *ok = fine;
 }
 
-sim::Task RedisClient::srem(std::string key, std::string member,
-                            bool* removed, bool* ok) {
-  bool fine = false;
-  co_await round_trip(&fine);
-  if (fine) {
-    const bool was_removed = server_.srem(key, member);
-    if (removed != nullptr) *removed = was_removed;
-  }
-  if (ok != nullptr) *ok = fine;
-}
-
-sim::Task RedisClient::incrby(std::string key, std::int64_t delta,
-                              std::int64_t* out, bool* ok) {
-  bool fine = false;
-  co_await round_trip(&fine);
-  if (fine) {
-    const std::int64_t v = server_.incrby(key, delta);
-    if (out != nullptr) *out = v;
-  }
-  if (ok != nullptr) *ok = fine;
-}
-
 sim::Task RedisClient::get(std::string key, std::optional<std::string>* out,
                            bool* ok) {
   bool fine = false;
@@ -492,36 +320,6 @@ sim::Task RedisClient::set(std::string key, std::string value, bool* ok) {
   co_await round_trip(&fine);
   if (fine) server_.set(key, std::move(value));
   if (ok != nullptr) *ok = fine;
-}
-
-sim::Task RedisClient::publish(std::string channel, std::string message,
-                               std::size_t* receivers, bool* ok) {
-  bool fine = false;
-  co_await round_trip(&fine);
-  if (fine) {
-    const std::size_t n = server_.publish(channel, std::move(message));
-    if (receivers != nullptr) *receivers = n;
-  }
-  if (ok != nullptr) *ok = fine;
-}
-
-sim::Task RedisClient::next_message(RedisServer::SubscriptionPtr sub, std::string* out,
-                                    bool* ok) {
-  *ok = false;
-  while (sub->messages.empty()) {
-    // Re-arm and wait for the next publish.
-    if (sub->ready->fired()) sub->ready = sim::make_event();
-    co_await sub->ready->wait(sim_);
-  }
-  *out = std::move(sub->messages.front());
-  sub->messages.pop_front();
-  // The push delivery leg (server -> client).
-  const net::NodeId server = server_.node();
-  if (server < 0) co_return;
-  auto push = net_.transfer(server, client_, 128);
-  co_await push->done->wait(sim_);
-  if (push->failed) co_return;
-  *ok = true;
 }
 
 }  // namespace chase::redis

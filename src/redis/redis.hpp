@@ -1,7 +1,7 @@
 #pragma once
 /// \file redis.hpp
 /// The Redis work-queue substitute (paper §III-A): an in-memory data-
-/// structure store with lists (the job queue), sets, hashes and counters.
+/// structure store with lists (the job queue), sets and strings.
 /// "The Redis queue holds a list of files that contain urls to download...
 /// each pod pops a message off the queue"; workers keep popping until the
 /// queue drains.
@@ -45,7 +45,6 @@ class RedisServer {
   void lpush(const std::string& key, std::string value);
   void rpush(const std::string& key, std::string value);
   std::optional<std::string> lpop(const std::string& key);
-  std::optional<std::string> rpop(const std::string& key);
   std::size_t llen(const std::string& key) const;
 
   // leases (at-least-once work-queue delivery)
@@ -74,48 +73,16 @@ class RedisServer {
 
   // sets
   bool sadd(const std::string& key, const std::string& member);
-  bool srem(const std::string& key, const std::string& member);
-  bool sismember(const std::string& key, const std::string& member) const;
   std::size_t scard(const std::string& key) const;
   std::vector<std::string> smembers(const std::string& key) const;
 
-  // hashes
-  void hset(const std::string& key, const std::string& field, std::string value);
-  std::optional<std::string> hget(const std::string& key, const std::string& field) const;
-  std::size_t hlen(const std::string& key) const;
-
-  // strings / counters
+  // strings
   void set(const std::string& key, std::string value);
   std::optional<std::string> get(const std::string& key) const;
-  bool del(const std::string& key);
-  std::int64_t incrby(const std::string& key, std::int64_t delta);
-
-  // expiry
-  /// Expire the key `seconds` of simulated time from now (any type).
-  /// Re-arming replaces the previous deadline; writes do not clear it.
-  void expire(const std::string& key, double seconds);
-  /// Remaining lifetime, or nullopt if no expiry is set.
-  std::optional<double> ttl(const std::string& key) const;
-  /// Remove the pending expiry; returns true if one existed.
-  bool persist(const std::string& key);
-
-  // pub/sub
-  struct Subscription {
-    std::deque<std::string> messages;
-    sim::EventPtr ready = sim::make_event();  // re-armed after each drain
-  };
-  using SubscriptionPtr = std::shared_ptr<Subscription>;
-  SubscriptionPtr subscribe(const std::string& channel);
-  void unsubscribe(const std::string& channel, const SubscriptionPtr& sub);
-  /// Deliver to all current subscribers; returns the receiver count.
-  std::size_t publish(const std::string& channel, const std::string& message);
-  std::size_t subscriber_count(const std::string& channel) const;
-
-  std::size_t total_keys() const;
 
   /// Invariant audit (see util/check.hpp): queue length vs. blocked-client
   /// accounting (a value never sits in a list while a BLPOP waiter is
-  /// parked), expiry deadlines, and waiter/subscription well-formedness.
+  /// parked), lease deadlines, and waiter well-formedness.
   /// Called automatically at simulation checkpoints in audit builds.
   void check_invariants() const;
 
@@ -148,16 +115,8 @@ class RedisServer {
   net::NodeId node_ = -1;
   std::map<std::string, std::deque<std::string>> lists_;
   std::map<std::string, std::set<std::string>> sets_;
-  std::map<std::string, std::map<std::string, std::string>> hashes_;
   std::map<std::string, std::string> strings_;
   std::map<std::string, std::deque<Waiter>> blocked_;
-  struct Expiry {
-    double deadline;
-    std::uint64_t generation;
-  };
-  std::map<std::string, Expiry> expiries_;
-  std::uint64_t expiry_generation_ = 0;
-  std::map<std::string, std::vector<SubscriptionPtr>> channels_;
   std::map<std::uint64_t, Lease> leases_;
   std::uint64_t next_lease_id_ = 1;
   std::uint64_t redeliveries_ = 0;
@@ -178,9 +137,6 @@ class RedisClient {
   /// frame owns them across suspension points (see blpop_impl below).
 
   sim::Task rpush(std::string key, std::string value, bool* ok = nullptr);
-  sim::Task lpush(std::string key, std::string value, bool* ok = nullptr);
-  sim::Task lpop(std::string key, std::optional<std::string>* out,
-                 bool* ok = nullptr);
   /// Blocking left pop: waits until an element is available (FIFO among
   /// waiters). Sets *got=false only on network failure; a popped element
   /// that cannot reach the client is pushed back, never dropped.
@@ -193,22 +149,12 @@ class RedisClient {
   /// Acknowledge a lease (see blpop_lease). *acked reports whether the
   /// lease was still pending server-side; *ok the round-trip outcome.
   sim::Task ack(std::uint64_t lease_id, bool* acked = nullptr, bool* ok = nullptr);
-  sim::Task llen(std::string key, std::size_t* out, bool* ok = nullptr);
   sim::Task sadd(std::string key, std::string member, bool* added = nullptr,
                  bool* ok = nullptr);
   sim::Task scard(std::string key, std::size_t* out, bool* ok = nullptr);
-  sim::Task srem(std::string key, std::string member,
-                 bool* removed = nullptr, bool* ok = nullptr);
-  sim::Task incrby(std::string key, std::int64_t delta, std::int64_t* out = nullptr,
-                   bool* ok = nullptr);
   sim::Task get(std::string key, std::optional<std::string>* out,
                 bool* ok = nullptr);
   sim::Task set(std::string key, std::string value, bool* ok = nullptr);
-  sim::Task publish(std::string channel, std::string message,
-                    std::size_t* receivers = nullptr, bool* ok = nullptr);
-  /// Await the next message on a subscription (round-trip paid once per
-  /// delivered message).
-  sim::Task next_message(RedisServer::SubscriptionPtr sub, std::string* out, bool* ok);
 
  private:
   /// One request/response round-trip; returns success via *ok.

@@ -43,15 +43,6 @@ void Task::promise_type::unhandled_exception() {
   std::terminate();
 }
 
-Task& Task::operator=(Task&& other) noexcept {
-  if (this != &other) {
-    if (handle_) handle_.destroy();
-    handle_ = other.handle_;
-    other.handle_ = {};
-  }
-  return *this;
-}
-
 Task::~Task() {
   if (handle_) handle_.destroy();
 }

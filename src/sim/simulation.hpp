@@ -64,7 +64,6 @@ class [[nodiscard]] Task {
   };
 
   Task(Task&& other) noexcept : handle_(other.handle_) { other.handle_ = {}; }
-  Task& operator=(Task&& other) noexcept;
   Task(const Task&) = delete;
   Task& operator=(const Task&) = delete;
   ~Task();

@@ -1,10 +1,6 @@
 #include "thredds/catalog.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-
-#include "util/units.hpp"
 
 namespace chase::thredds {
 
@@ -74,53 +70,6 @@ DateTime Dataset::file_time(std::size_t index) const {
 
 std::string Dataset::file_url(std::size_t index) const {
   return "/thredds/" + name + "/" + file_time(index).to_string() + ".nc4";
-}
-
-double hours_since_epoch(const DateTime& t) {
-  return static_cast<double>(days_from_civil(t.year, t.month, t.day)) * 24.0 + t.hour;
-}
-
-std::size_t Dataset::index_at_or_after(const DateTime& t) const {
-  const double start_h = hours_since_epoch(start);
-  const double want_h = hours_since_epoch(t);
-  if (want_h <= start_h) return 0;
-  const double steps = (want_h - start_h) / cadence_hours;
-  const auto index = static_cast<std::size_t>(std::ceil(steps - 1e-9));
-  return std::min(index, file_count);
-}
-
-std::vector<std::size_t> Dataset::files_in_range(const DateTime& from,
-                                                 const DateTime& to) const {
-  std::vector<std::size_t> out;
-  const double to_h = hours_since_epoch(to);
-  for (std::size_t i = index_at_or_after(from); i < file_count; ++i) {
-    if (hours_since_epoch(file_time(i)) > to_h + 1e-9) break;
-    out.push_back(i);
-  }
-  return out;
-}
-
-std::string render_catalog(const std::vector<Dataset>& datasets) {
-  std::string out = "THREDDS Catalog\n===============\n";
-  for (const auto& ds : datasets) {
-    out += "\nDataset: " + ds.name + "\n";
-    out += "  time span : " + ds.start.to_string() + " .. " +
-           ds.file_time(ds.file_count - 1).to_string() + " (every " +
-           util::format_double(ds.cadence_hours, 0) + "h, " +
-           std::to_string(ds.file_count) + " files)\n";
-    out += "  grid      : " + std::to_string(ds.grid_x) + "x" +
-           std::to_string(ds.grid_y) + ", " + std::to_string(ds.levels) +
-           " levels\n";
-    out += "  whole file: " + util::format_bytes(static_cast<double>(ds.file_bytes())) +
-           "  (archive " + util::format_bytes(static_cast<double>(ds.total_bytes())) +
-           ")\n  variables :";
-    for (const auto& v : ds.variables) {
-      out += " " + v.name + "(" +
-             util::format_bytes(static_cast<double>(v.bytes_per_file)) + ")";
-    }
-    out += "\n";
-  }
-  return out;
 }
 
 Dataset make_merra2_m2i3npasm() {

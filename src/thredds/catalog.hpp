@@ -52,21 +52,7 @@ struct Dataset {
   DateTime file_time(std::size_t index) const;
   /// "/thredds/M2I3NPASM/1980-01-01T03:00Z.nc4"
   std::string file_url(std::size_t index) const;
-
-  /// Index of the first file at or after the given instant; file_count if
-  /// past the archive end.
-  std::size_t index_at_or_after(const DateTime& t) const;
-  /// Indices of all files in [from, to] inclusive — the subset-tool's
-  /// time-range selection.
-  std::vector<std::size_t> files_in_range(const DateTime& from, const DateTime& to) const;
 };
-
-/// Total hours since the epoch for ordering DateTimes.
-double hours_since_epoch(const DateTime& t);
-
-/// THREDDS catalog page: one entry per dataset with variables, time span,
-/// file count and sizes (the paper links the live catalog in §III-A).
-std::string render_catalog(const std::vector<Dataset>& datasets);
 
 /// Build the paper's archive: MERRA-2 M2I3NPASM, 3-hourly from
 /// 1980-01-01T00Z through 2018-05-31T21Z (the paper counts 112,249 NetCDF

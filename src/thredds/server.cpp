@@ -9,9 +9,6 @@ ThreddsServer::ThreddsServer(sim::Simulation& sim, net::Network& net, net::NodeI
     : sim_(sim), net_(net), node_(node), options_(options),
       slots_(std::make_unique<sim::Semaphore>(options.extraction_slots)) {}
 
-ThreddsServer::ThreddsServer(sim::Simulation& sim, net::Network& net, net::NodeId node)
-    : ThreddsServer(sim, net, node, Options{}) {}
-
 void ThreddsServer::add_dataset(Dataset ds) { datasets_.push_back(std::move(ds)); }
 
 const Dataset* ThreddsServer::dataset(const std::string& name) const {

@@ -45,7 +45,6 @@ class ThreddsServer {
 
   ThreddsServer(sim::Simulation& sim, net::Network& net, net::NodeId node,
                 Options options);
-  ThreddsServer(sim::Simulation& sim, net::Network& net, net::NodeId node);
 
   void add_dataset(Dataset ds);
   const Dataset* dataset(const std::string& name) const;

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/units.hpp"
-
 namespace chase::util {
 
 std::string csv_escape(const std::string& s) {
@@ -29,13 +27,6 @@ void CsvWriter::add_row(const std::vector<std::string>& cells) {
     out_ << csv_escape(cells[i]);
   }
   out_ << '\n';
-}
-
-void CsvWriter::add_row(const std::vector<double>& values) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) cells.push_back(format_double(v, 6));
-  add_row(cells);
 }
 
 }  // namespace chase::util

@@ -16,7 +16,6 @@ class CsvWriter {
   CsvWriter(const std::string& path, const std::vector<std::string>& header);
 
   void add_row(const std::vector<std::string>& cells);
-  void add_row(const std::vector<double>& values);
 
  private:
   std::ofstream out_;

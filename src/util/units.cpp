@@ -22,7 +22,7 @@ std::string format_scaled(double v, const char* suffix) {
 }  // namespace
 
 std::string format_bytes(double bytes) {
-  if (bytes < 0) return "-" + format_bytes(-bytes);
+  if (bytes < 0) return std::string("-").append(format_bytes(-bytes));
   if (bytes >= kPB) return format_scaled(bytes / kPB, "PB");
   if (bytes >= kTB) return format_scaled(bytes / kTB, "TB");
   if (bytes >= kGB) return format_scaled(bytes / kGB, "GB");
@@ -37,7 +37,7 @@ std::string format_rate(double bytes_per_s) {
 
 std::string format_duration(double seconds) {
   char buf[64];
-  if (seconds < 0) return "-" + format_duration(-seconds);
+  if (seconds < 0) return std::string("-").append(format_duration(-seconds));
   if (seconds < 1.0) {
     std::snprintf(buf, sizeof(buf), "%.0fms", seconds * 1e3);
     return buf;

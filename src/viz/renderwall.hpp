@@ -15,7 +15,6 @@
 #include "net/network.hpp"
 #include "sim/event.hpp"
 #include "sim/simulation.hpp"
-#include "util/histogram.hpp"
 
 namespace chase::viz {
 

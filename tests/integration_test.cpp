@@ -1,6 +1,6 @@
 /// Cross-module integration tests: the full workflow under failure
-/// injection, concurrent multi-tenant load, alerting wired to live metrics,
-/// scheduler policies, and the Kepler export.
+/// injection, concurrent multi-tenant load, scheduler policies, and the
+/// Kepler export.
 
 #include <gtest/gtest.h>
 
@@ -74,25 +74,6 @@ TEST(Integration, WorkflowAndTenantsShareTheCluster) {
   EXPECT_EQ(cwf.workflow().reports().size(), 4u);
 }
 
-TEST(Integration, AlertsFireOnWorkflowLoad) {
-  co::Nautilus bed;
-  bed.metrics.add_alert({"gpus-busy", "kube_allocated_gpus", {}, true, 10.0});
-  co::ConnectWorkflowParams params;
-  params.steps = {3};
-  params.data_fraction = 1e-3;
-  params.inference_gpus = 16;
-  co::ConnectWorkflow cwf(bed, params);
-  auto stop = cs::make_event();
-  bed.metrics.start_sampler(bed.sim, 10.0, stop);
-  auto done = cwf.workflow().start(bed.sim);
-  ASSERT_TRUE(cs::run_until(bed.sim, done));
-  stop->trigger(bed.sim);
-  bed.sim.run();
-  ASSERT_EQ(bed.metrics.alerts().size(), 1u);
-  EXPECT_GE(bed.metrics.alerts()[0].transitions, 1);
-  EXPECT_FALSE(bed.metrics.alerts()[0].firing);  // cleared after the job
-}
-
 TEST(Integration, BinPackPolicyConsolidates) {
   auto count_busy_nodes = [](ck::KubeCluster::SchedulingPolicy policy) {
     co::NautilusOptions nopts;
@@ -106,7 +87,8 @@ TEST(Integration, BinPackPolicyConsolidates) {
         co_await ctx.sim().sleep(1e5);
       };
       spec.containers.push_back(std::move(c));
-      bed.kube->create_pod("default", "p" + std::to_string(i), std::move(spec));
+      bed.kube->create_pod("default", std::string("p").append(std::to_string(i)),
+                           std::move(spec));
     }
     bed.sim.run(60.0);
     int busy = 0;

@@ -1,6 +1,5 @@
 /// Tests for the advanced orchestrator features: taints/tolerations,
-/// cordon/drain, priority + preemption, ReplicaSet scaling, Deployments
-/// with rolling updates.
+/// cordon/drain, priority + preemption, CronJobs.
 
 #include <gtest/gtest.h>
 
@@ -215,123 +214,6 @@ TEST(Preemption, EvictsCheapestSufficientSet) {
   EXPECT_EQ(c->phase, ck::PodPhase::Running);
 }
 
-// --- ReplicaSet scaling ----------------------------------------------------------------------
-
-TEST(ReplicaSetScaling, UpAndDown) {
-  Testbed tb(2);
-  ck::ReplicaSetSpec spec;
-  spec.ns = "default";
-  spec.name = "svc";
-  spec.replicas = 2;
-  spec.labels = {{"app", "svc"}};
-  spec.pod_template = pod_spec(1e6);
-  auto rs = tb.kube->create_replica_set(spec).value;
-  tb.sim.run(30.0);
-  EXPECT_EQ(rs->active, 2);
-
-  tb.kube->scale_replica_set("default", "svc", 5);
-  tb.sim.run(tb.sim.now() + 30.0);
-  int running = 0;
-  for (const auto& pod : tb.kube->list_pods("default", {{"app", "svc"}})) {
-    running += pod->phase == ck::PodPhase::Running;
-  }
-  EXPECT_EQ(running, 5);
-
-  tb.kube->scale_replica_set("default", "svc", 1);
-  tb.sim.run(tb.sim.now() + 30.0);
-  running = 0;
-  for (const auto& pod : tb.kube->list_pods("default", {{"app", "svc"}})) {
-    running += pod->phase == ck::PodPhase::Running;
-  }
-  EXPECT_EQ(running, 1);
-  EXPECT_EQ(rs->active, 1);
-}
-
-// --- Deployments ---------------------------------------------------------------------------------
-
-TEST(Deployment, CreateRunsReplicas) {
-  Testbed tb(2);
-  ck::DeploymentSpec spec;
-  spec.ns = "default";
-  spec.name = "web";
-  spec.replicas = 3;
-  spec.labels = {{"app", "web"}};
-  spec.pod_template = pod_spec(1e6);
-  spec.pod_template.containers[0].image = "web:v1";
-  auto deployment = tb.kube->create_deployment(spec).value;
-  tb.sim.run(60.0);
-  int running = 0;
-  for (const auto& pod : tb.kube->list_pods("default", {{"app", "web"}})) {
-    running += pod->phase == ck::PodPhase::Running;
-  }
-  EXPECT_EQ(running, 3);
-  EXPECT_EQ(deployment->revision, 1);
-  EXPECT_FALSE(deployment->rolling);
-}
-
-TEST(Deployment, RollingUpdateReplacesAllPodsWithoutGap) {
-  Testbed tb(2);
-  ck::DeploymentSpec spec;
-  spec.ns = "default";
-  spec.name = "web";
-  spec.replicas = 3;
-  spec.labels = {{"app", "web"}};
-  spec.pod_template = pod_spec(1e6);
-  spec.pod_template.containers[0].image = "web:v1";
-  auto deployment = tb.kube->create_deployment(spec).value;
-  tb.sim.run(60.0);
-
-  // Track availability during the rollout: never fewer than 3 running pods.
-  static int min_running;
-  min_running = 1000;
-  auto probe = [&tb]() {
-    int running = 0;
-    for (const auto& pod : tb.kube->list_pods("default", {{"app", "web"}})) {
-      running += pod->phase == ck::PodPhase::Running;
-    }
-    return running;
-  };
-  for (double t = tb.sim.now(); t < tb.sim.now() + 300; t += 2.0) {
-    tb.sim.schedule(t - tb.sim.now(), [&] { min_running = std::min(min_running, probe()); });
-  }
-
-  auto v2 = pod_spec(1e6);
-  v2.containers[0].image = "web:v2";
-  tb.kube->update_deployment("default", "web", v2);
-  ASSERT_TRUE(cs::run_until(tb.sim, deployment->rolled_out));
-  tb.sim.run(tb.sim.now() + 30.0);
-
-  EXPECT_EQ(deployment->revision, 2);
-  EXPECT_FALSE(deployment->rolling);
-  EXPECT_GE(min_running, 3);  // surge: capacity never dipped
-  int v2_running = 0, v1_running = 0;
-  for (const auto& pod : tb.kube->list_pods("default", {{"app", "web"}})) {
-    if (pod->phase != ck::PodPhase::Running) continue;
-    v2_running += pod->spec.containers[0].image == "web:v2";
-    v1_running += pod->spec.containers[0].image == "web:v1";
-  }
-  EXPECT_EQ(v2_running, 3);
-  EXPECT_EQ(v1_running, 0);
-}
-
-TEST(Deployment, DeleteRemovesAllPods) {
-  Testbed tb(2);
-  ck::DeploymentSpec spec;
-  spec.ns = "default";
-  spec.name = "web";
-  spec.replicas = 2;
-  spec.labels = {{"app", "web"}};
-  spec.pod_template = pod_spec(1e6);
-  tb.kube->create_deployment(spec);
-  tb.sim.run(60.0);
-  tb.kube->delete_deployment("default", "web");
-  tb.sim.run(tb.sim.now() + 30.0);
-  for (const auto& pod : tb.kube->list_pods("default", {{"app", "web"}})) {
-    EXPECT_TRUE(pod->terminal());
-  }
-  EXPECT_EQ(tb.kube->get_deployment("default", "web"), nullptr);
-}
-
 // --- CronJobs ---------------------------------------------------------------------------------
 
 TEST(CronJob, FiresPeriodically) {
@@ -386,26 +268,6 @@ TEST(CronJob, AllowConcurrentRunsInParallel) {
   EXPECT_EQ(cron->fired, 5u);
   EXPECT_EQ(cron->skipped, 0u);
   tb.kube->delete_cron_job("default", "burst");
-  tb.sim.run(2000.0);
-}
-
-TEST(CronJob, SuspendPausesFirings) {
-  Testbed tb(2);
-  ck::CronJobSpec spec;
-  spec.ns = "default";
-  spec.name = "paused";
-  spec.period = 50.0;
-  spec.job_template.pod_template = pod_spec(5.0);
-  auto cron = tb.kube->create_cron_job(spec).value;
-  tb.sim.run(120.0);
-  EXPECT_EQ(cron->fired, 2u);
-  tb.kube->suspend_cron_job("default", "paused", true);
-  tb.sim.run(400.0);
-  EXPECT_EQ(cron->fired, 2u);
-  tb.kube->suspend_cron_job("default", "paused", false);
-  tb.sim.run(520.0);
-  EXPECT_GE(cron->fired, 3u);
-  tb.kube->delete_cron_job("default", "paused");
   tb.sim.run(2000.0);
 }
 

@@ -901,21 +901,6 @@ TEST(Eval, EmptyVolumesSafe) {
   EXPECT_DOUBLE_EQ(m.iou(), 0.0);
 }
 
-TEST(Eval, ObjectDetectionByOverlap) {
-  ml::Volume<std::int32_t> truth(10, 10, 1, 0);
-  // Object 1: covered; object 2: barely touched.
-  for (int x = 0; x < 4; ++x) truth.at(x, 0, 0) = 1;
-  for (int x = 0; x < 4; ++x) truth.at(x, 5, 0) = 2;
-  ml::Volume<std::int32_t> pred(10, 10, 1, 0);
-  for (int x = 0; x < 3; ++x) pred.at(x, 0, 0) = 7;  // 75% of object 1
-  pred.at(0, 5, 0) = 8;                              // 25% of object 2
-  auto m = ml::object_metrics(pred, truth, 0.5);
-  EXPECT_EQ(m.truth_objects, 2);
-  EXPECT_EQ(m.detected, 1);
-  EXPECT_EQ(m.predicted_objects, 2);
-  EXPECT_DOUBLE_EQ(m.detection_rate(), 0.5);
-}
-
 // --- cost model ---------------------------------------------------------------------------
 
 TEST(CostModel, ReproducesPaperStepDurations) {

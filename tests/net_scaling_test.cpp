@@ -67,7 +67,7 @@ struct RandomTopo {
   explicit RandomTopo(cu::Rng& rng, int n) {
     nodes.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-      nodes.push_back(net.add_node("n" + std::to_string(i)));
+      nodes.push_back(net.add_node(std::string("n").append(std::to_string(i))));
     }
     for (int i = 1; i < n; ++i) {
       links.push_back(net.add_link(nodes[static_cast<std::size_t>(i - 1)],

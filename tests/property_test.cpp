@@ -38,7 +38,9 @@ TEST_P(NetworkProperties, RandomTopologyFlowsCompleteAndLinksNeverOversubscribed
   const int nodes = 6 + static_cast<int>(rng.uniform_u64(8));
   std::vector<cn::NodeId> ids;
   std::vector<cn::LinkId> links;
-  for (int i = 0; i < nodes; ++i) ids.push_back(net.add_node("n" + std::to_string(i)));
+  for (int i = 0; i < nodes; ++i) {
+    ids.push_back(net.add_node(std::string("n").append(std::to_string(i))));
+  }
   for (int i = 1; i < nodes; ++i) {
     links.push_back(net.add_link(ids[static_cast<std::size_t>(i - 1)],
                                  ids[static_cast<std::size_t>(i)],
@@ -100,9 +102,10 @@ TEST_P(SchedulerProperties, NeverOversubscribesAndGrantsDistinctGpus) {
   std::vector<cc::MachineId> machines;
   const int nodes = 3 + static_cast<int>(rng.uniform_u64(4));
   for (int i = 0; i < nodes; ++i) {
-    auto nn = net.add_node("n" + std::to_string(i));
+    auto nn = net.add_node(std::string("n").append(std::to_string(i)));
     net.add_link(nn, sw, 1e9, 1e-4);
-    machines.push_back(inventory.add(cc::fiona8("n" + std::to_string(i), "X"), nn));
+    machines.push_back(
+        inventory.add(cc::fiona8(std::string("n").append(std::to_string(i)), "X"), nn));
     kube.register_node(machines.back());
   }
 
@@ -118,7 +121,7 @@ TEST_P(SchedulerProperties, NeverOversubscribesAndGrantsDistinctGpus) {
       co_await ctx.sim().sleep(runtime);
     };
     spec.containers.push_back(std::move(c));
-    kube.create_pod("default", "p" + std::to_string(p), std::move(spec));
+    kube.create_pod("default", std::string("p").append(std::to_string(p)), std::move(spec));
   }
 
   // Invariant probes at random times during execution.
@@ -169,9 +172,9 @@ TEST_P(CrushProperties, DistinctHostsFullWidthAndStability) {
   ce::CephCluster ceph(sim, net, inventory, nullptr, opts);
   std::vector<cc::MachineId> machines;
   for (int i = 0; i < param.osds; ++i) {
-    auto nn = net.add_node("s" + std::to_string(i));
+    auto nn = net.add_node(std::string("s").append(std::to_string(i)));
     machines.push_back(inventory.add(
-        cc::storage_fiona("s" + std::to_string(i), "X", cu::tb(100)), nn));
+        cc::storage_fiona(std::string("s").append(std::to_string(i)), "X", cu::tb(100)), nn));
     ceph.add_osd(machines.back());
   }
   ceph.create_pool("p");
@@ -339,14 +342,15 @@ TEST_P(QueueProperties, EveryMessageDeliveredExactlyOnce) {
     }
   };
   for (int worker = 0; worker < consumers; ++worker) {
-    auto node = net.add_node("w" + std::to_string(worker));
+    auto node = net.add_node(std::string("w").append(std::to_string(worker)));
     net.add_link(node, sw, 1e9, 1e-4);
     sim.spawn(consumer(&sim, &net, &server, node));
   }
   // Producer pushes at random times.
   for (int m = 0; m < messages; ++m) {
-    sim.schedule(rng.uniform(0.0, 50.0),
-                 [&server, m] { server.rpush("q", "m" + std::to_string(m)); });
+    sim.schedule(rng.uniform(0.0, 50.0), [&server, m] {
+      server.rpush("q", std::string("m").append(std::to_string(m)));
+    });
   }
   sim.schedule(100.0, [&server, consumers] {
     for (int worker = 0; worker < consumers; ++worker) server.rpush("q", "STOP");
@@ -355,7 +359,8 @@ TEST_P(QueueProperties, EveryMessageDeliveredExactlyOnce) {
 
   EXPECT_EQ(delivered.size(), static_cast<std::size_t>(messages));
   for (int m = 0; m < messages; ++m) {
-    EXPECT_EQ(delivered.count("m" + std::to_string(m)), 1u) << "message " << m;
+    EXPECT_EQ(delivered.count(std::string("m").append(std::to_string(m))), 1u)
+        << "message " << m;
   }
 }
 

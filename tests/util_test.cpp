@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -96,6 +98,49 @@ TEST(Rng, ExponentialMean) {
   double sum = 0;
   for (int i = 0; i < n; ++i) sum += rng.exponential(5.0);
   EXPECT_NEAR(sum / n, 5.0, 0.15);
+}
+
+// Every committed event count and replay hash rests on the platform libm
+// rounding log and cos exactly as the machine that pinned them did:
+// Rng::normal calls log, cos and sqrt, Rng::exponential calls log, and CRUSH
+// straw2 takes log(u) of u = (h >> 11) + 1 over 2^53, u in (0, 1]. Their bits
+// are pinned here, so a libm that rounds differently fails this test by name
+// instead of moving an event count somewhere downstream.
+TEST(Rng, LibmCanary) {
+  const auto expect_bits = [](double got, double want, const char* what, int i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+        << what << " #" << i << ": got " << std::hexfloat << got << ", want " << want;
+  };
+  cu::Rng normal_rng(1);
+  const double normals[] = {-0x1.aa5d15d61bbdep-1, -0x1.a277e54872b51p-1,
+                            0x1.0d9c8553273ep-1,   -0x1.b02898a315caap+0,
+                            -0x1.0311d513a4fb3p-1, 0x1.70e173aebb381p-2};
+  for (int i = 0; i < 6; ++i) expect_bits(normal_rng.normal(), normals[i], "normal", i);
+
+  cu::Rng exp_rng(2);
+  const double exponentials[] = {0x1.23f8b9aceedcbp+1, 0x1.48923e806df68p-2,
+                                 0x1.b169ff599404cp+0, 0x1.2985e806e79c6p-2,
+                                 0x1.81b300cd5f105p-2, 0x1.71a8a196266d8p+0};
+  for (int i = 0; i < 6; ++i) {
+    expect_bits(exp_rng.exponential(1.0), exponentials[i], "exponential", i);
+  }
+
+  const auto straw_u = [](std::uint64_t h) {
+    return (static_cast<double>(h >> 11) + 1.0) * 0x1.0p-53;
+  };
+  const double straw_logs[] = {-0x1.ff041c60e5c14p-1, -0x1.1ed185fb17f82p+1,
+                               -0x1.0715047c2274dp+0, -0x1.3fa3f670f58ebp+0,
+                               -0x1.4614c40356f5cp+1, -0x1.11535193f61c2p+0};
+  for (int i = 0; i < 6; ++i) {
+    const double u = straw_u(cu::hash_combine(3, static_cast<std::uint64_t>(i)));
+    expect_bits(std::log(u), straw_logs[i], "straw2 log", i);
+  }
+  // The ends of the range: h = 0 draws u = 2^-53 and h = ~0 draws u = 1.
+  // volatile keeps the compiler from folding these two logs at build time.
+  volatile std::uint64_t h_min = 0;
+  volatile std::uint64_t h_max = ~std::uint64_t{0};
+  expect_bits(std::log(straw_u(h_min)), -0x1.25e4f7b2737fap+5, "straw2 log(2^-53)", 0);
+  expect_bits(std::log(straw_u(h_max)), 0.0, "straw2 log(1)", 0);
 }
 
 TEST(Rng, HashMixAvalanche) {
