@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -11,6 +12,16 @@ namespace chase::net {
 namespace {
 constexpr double kByteEpsilon = 0.5;  // flows within half a byte are done
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Fast admission needs slack above the cap by this fraction of the link's
+/// capacity; it absorbs the fill's rounding (DESIGN.md "Fast admission of
+/// capped flows").
+constexpr double kSlackMargin = 1e-9;
+
+/// The next double above x, for finite x >= +0. A rounded sum stepped up
+/// this way is at or above the exact sum it rounded.
+double ulp_up(double x) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) + 1);
+}
 }  // namespace
 
 Network::Network(sim::Simulation& sim) : sim_(sim) {
@@ -77,6 +88,7 @@ LinkId Network::add_link(NodeId a, NodeId b, double bandwidth_bps, double latenc
   link_epoch_.resize(links_.size(), 0);
   link_scope_.resize(links_.size(), 0);
   link_fill_.resize(links_.size());
+  link_load_.resize(links_.size(), 0.0);
   nodes_[a].out.push_back(forward);
   nodes_[b].out.push_back(forward + 1);
   invalidate_routes();
@@ -308,16 +320,19 @@ TransferPtr Network::transfer(NodeId src, NodeId dst, Bytes bytes, TransferOptio
     flow.remaining = static_cast<double>(handle->bytes);
     flow.rate_cap = opts.rate_cap;
     flow.last_update = sim_.now();
-    // Register on the incidence index (ids are monotone, so appending keeps
-    // each registry sorted) and seed the owning component for recompute.
-    for (LinkId l : path) {
-      links_[l].flows.push_back({&flow, flow.rate, id, flow.slot});
-      seed_links_.push_back(l);
-    }
     flow.path = std::move(path);
     bytes_started_ += flow.remaining;
-    eta_insert(&flow);
-    recompute_scope();
+    if (!admit_at_cap(flow)) {
+      // Register on the incidence index (ids are monotone, so appending
+      // keeps each registry sorted) and seed the owning component for
+      // recompute.
+      for (LinkId l : flow.path) {
+        links_[l].flows.push_back({&flow, flow.rate, id, flow.slot});
+        seed_links_.push_back(l);
+      }
+      eta_insert(&flow);
+      recompute_scope();
+    }
     rearm_completion();
   });
   return handle;
@@ -335,6 +350,45 @@ sim::Task Network::send_group(std::vector<GroupLeg> legs, TransferOptions opts) 
     done.push_back(transfer(leg.src, leg.dst, leg.bytes, opts)->done);
   }
   co_await sim::wait_all(sim_, std::move(done));
+}
+
+bool Network::admit_at_cap(Flow& flow) {
+  const double cap = flow.rate_cap;
+  if (!(cap > 0.0 && cap < kInf)) return false;
+  ++stats_.capped_starts;
+  for (LinkId l : flow.path) {
+    const double capacity = links_[l].capacity;
+    if (!(capacity - link_load_[l] > cap + kSlackMargin * capacity)) return false;
+  }
+  // The full fill would freeze this flow at its cap and change no other
+  // rate, so write exactly what apply_component would: the rate, its
+  // registry mirrors, the deadline, then the completion index.
+  flow.rate = cap;
+  for (LinkId l : flow.path) {
+    links_[l].flows.push_back({&flow, cap, flow.id, flow.slot});
+    double& load = link_load_[l];
+    load = ulp_up(load + cap);
+  }
+  flow.deadline = completion_eta(flow);
+  eta_insert(&flow);
+  ++stats_.fast_admissions;
+  CHASE_AUDIT(rates_match_full_recompute(),
+              "fast admission diverged from the full recompute");
+  return true;
+}
+
+double Network::registry_load(const DirectedLink& link) {
+  double sum = 0.0;
+  for (const DirectedLink::RegEntry& e : link.flows) sum += e.rate;
+  // Summing n non-negative rates lands within n half-ulps of the exact
+  // sum; lift by twice that, then round the lift up.
+  const double n = static_cast<double>(link.flows.size());
+  return ulp_up(sum + sum * n * 0x1p-52);
+}
+
+double Network::completion_eta(const Flow& flow) {
+  if (flow.remaining <= kByteEpsilon) return flow.last_update;
+  return flow.rate > 0.0 ? flow.last_update + flow.remaining / flow.rate : kInf;
 }
 
 void Network::settle_flow(Flow& flow, double now) {
@@ -688,9 +742,7 @@ void Network::apply_component() {
           [](const DirectedLink::RegEntry& e, std::uint64_t id) { return e.id < id; });
       it->rate = rate;
     }
-    f->deadline = f->remaining <= kByteEpsilon
-                      ? now
-                      : (rate > 0.0 ? now + f->remaining / rate : kInf);
+    f->deadline = completion_eta(*f);  // settled: last_update == now
     eta_update(f);
   }
 }
@@ -704,10 +756,15 @@ void Network::recompute_scope() {
     std::uint64_t& mark = link_scope_[l];
     if (mark == scope_id_) continue;
     mark = scope_id_;
-    if (!links_[l].flows.empty()) scope_links_.push_back(l);
+    if (links_[l].flows.empty()) {
+      link_load_[l] = 0.0;  // exact: clears any upward rounding
+    } else {
+      scope_links_.push_back(l);
+    }
   }
   seed_links_.clear();
   if (scope_links_.empty()) return;
+  ++stats_.recomputes;
   // Fixpoint expansion: fill over S plus its boundary ring, then grow S
   // along the paths of flows whose computed rate changed bitwise, and
   // refill. Every flow on an S link participates fully; each out-of-scope
@@ -819,6 +876,8 @@ void Network::recompute_scope() {
         }
       }
     }
+    ++stats_.fills;
+    stats_.fill_links += comp_links_.size();
     fill_component();
     bool grew = false;
     const std::uint32_t n = static_cast<std::uint32_t>(fl_ptr_.size());
@@ -846,6 +905,9 @@ void Network::recompute_scope() {
     if (!grew) break;
   }
   apply_component();
+  // At the fixpoint every flow whose rate changed runs over S links only,
+  // so re-summing S's registries keeps every link's load current.
+  for (LinkId l : scope_links_) link_load_[l] = registry_load(links_[l]);
 }
 
 bool Network::rates_match_full_recompute() {
@@ -1056,12 +1118,7 @@ void Network::check_invariants() const {
     CHASE_INVARIANT(flow.heap_pos < eta_heap_.size() &&
                         eta_heap_[flow.heap_pos] == &flow,
                     "flow absent from the completion index (or slot stale)");
-    const double expected_deadline =
-        flow.remaining <= kByteEpsilon
-            ? flow.last_update
-            : (flow.rate > 0.0 ? flow.last_update + flow.remaining / flow.rate
-                               : kInf);
-    CHASE_INVARIANT(flow.deadline == expected_deadline,
+    CHASE_INVARIANT(flow.deadline == completion_eta(flow),
                     "completion deadline inconsistent with remaining/rate");
     // Path structure: contiguous src -> dst chain over live nodes, and the
     // flow is registered on each link it occupies.
@@ -1104,6 +1161,17 @@ void Network::check_invariants() const {
       used += e.rate;
     }
     registered += link.flows.size();
+    // The fast-admission load is an upper bound on the registry's exact
+    // sum: `used` is within n half-ulps of that sum, hence the n * 2^-52
+    // allowance below it. Its excess (the re-sum's lift plus one ulp per
+    // fast admission since the link's last fill) must stay far inside the
+    // guard's margin, or the guard would decline flows it could admit.
+    const double load = link_load_[i];
+    const double n = static_cast<double>(link.flows.size());
+    CHASE_INVARIANT(load >= used - used * n * 0x1p-52 &&
+                        load - used <= kSlackMargin * link.capacity &&
+                        (n > 0.0 || load == 0.0),
+                    "link load diverged from its registry's rate sum");
     CHASE_INVARIANT(used <= link.capacity * (1.0 + 1e-6),
                     "link oversubscribed: " + node_name(link.from) + " -> " +
                         node_name(link.to));

@@ -162,6 +162,18 @@ class Network {
   /// audit level >= 2; the randomized property tests call it directly.
   bool rates_match_full_recompute();
 
+  /// Deterministic work counters, always on. The audit's reference fills
+  /// (rates_match_full_recompute) are not counted, so the values do not
+  /// depend on the audit level.
+  struct Stats {
+    std::uint64_t recomputes = 0;       // recompute_scope calls that filled
+    std::uint64_t fills = 0;            // fill passes inside those calls
+    std::uint64_t fill_links = 0;       // links (scope + boundary) per pass
+    std::uint64_t capped_starts = 0;    // flow starts with a finite cap > 0
+    std::uint64_t fast_admissions = 0;  // capped starts admitted without a fill
+  };
+  const Stats& stats() const { return stats_; }
+
  private:
   struct Flow;
 
@@ -251,6 +263,21 @@ class Network {
   /// max-min rate updates"); flows outside the final scope are never
   /// settled, re-rated, or re-indexed.
   void recompute_scope();
+  /// Fast admission of a freshly started flow: if its rate cap is finite
+  /// and positive and every path link's slack (capacity minus link_load_)
+  /// exceeds the cap by the 1e-9 relative margin, the full fill would hand
+  /// it exactly its cap and leave every other rate bitwise unchanged
+  /// (DESIGN.md "Fast admission of capped flows"). Then this registers and
+  /// indexes the flow at its cap and returns true; otherwise it touches
+  /// nothing and returns false, and the caller runs the full path.
+  bool admit_at_cap(Flow& flow);
+  /// An upper bound on the exact sum of the link's registry rates, within
+  /// a few ulps per registered flow: the value link_load_ holds.
+  static double registry_load(const DirectedLink& link);
+  /// Completion ETA of a flow as of its last settle: the deadline key of
+  /// the completion index (remaining / rate ahead of last_update; +inf
+  /// while starved; due at once within the byte epsilon).
+  static double completion_eta(const Flow& flow);
 
   /// (Re)arm the single pending completion event at the earliest deadline
   /// in the completion index. No-op when the earliest deadline is
@@ -310,6 +337,7 @@ class Network {
   double bytes_started_ = 0.0;
   double bytes_dropped_ = 0.0;
   std::uint64_t audit_hook_ = 0;
+  Stats stats_;
 
   // --- hot-path scratch ----------------------------------------------------
   // The scoped recompute runs once per flow-set change; these buffers are
@@ -339,6 +367,14 @@ class Network {
     std::uint32_t run = kNoRun;  // index into cap_runs_, if a boundary link
   };
   std::vector<LinkFill> link_fill_;
+  /// Per-link load, the fast-admission guard's view of the registry's
+  /// rate sum. It never reads below the exact sum (the guard may decline a
+  /// flow it could admit, never the reverse): recompute_scope() re-sums
+  /// every scope link's registry with registry_load() after applying its
+  /// fill, a fast admission adds its cap rounded one ulp up, and an
+  /// emptied registry's load resets to exactly 0. Dense here rather than a
+  /// DirectedLink field, which would grow that struct past 64 bytes.
+  std::vector<double> link_load_;
   std::vector<LinkId> comp_links_;         // links of the current fill pass
   std::vector<double> levels_;  // current water level per comp_links_ slot
                                 // (+inf once fully frozen); dense so the

@@ -16,12 +16,22 @@
 ///   * bit-identical event traces across replays, including chaos-style
 ///     link flap schedules (the determinism contract that bench_compare
 ///     and tools/determinism_check rely on);
-///   * scoped recompute leaves disjoint components' live rates untouched.
+///   * scoped recompute leaves disjoint components' live rates untouched;
+///   * a capped flow admitted without a fill gets exactly the rates the full
+///     fill would give, including caps within a few margins of a link's
+///     slack (FastAdmissionMatchesFullFill; the proof it checks is DESIGN.md
+///     "Fast admission of capped flows": a link whose slack exceeds the cap
+///     cannot become the bottleneck before the cap fires, because every
+///     unfrozen flow on it ends at or above the current share, so the
+///     bottleneck sequence and every other flow's subtractions are
+///     unchanged and the new flow freezes at exactly its cap).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "net/network.hpp"
@@ -98,6 +108,7 @@ struct RandomTopo {
 /// with boundary twins; 0 keeps every arrival uncapped and draws nothing
 /// extra from the schedule's Rng.
 void churn_matches_full_recompute(std::uint64_t seed_base, double capped_share) {
+  std::uint64_t fast_admissions = 0;
   for (std::uint64_t seed = 0; seed < 120; ++seed) {
     cu::Rng rng(seed_base + seed);
     const int n = 3 + static_cast<int>(rng.uniform_u64(8));
@@ -145,8 +156,68 @@ void churn_matches_full_recompute(std::uint64_t seed_base, double capped_share) 
     ASSERT_TRUE(w.net.rates_match_full_recompute()) << "seed " << seed << " (drained)";
     ASSERT_EQ(w.net.active_flows(), 0u) << "seed " << seed;
     w.net.check_invariants();
+    fast_admissions += w.net.stats().fast_admissions;
+  }
+  // Capped arrivals that fit their path's slack skip the fill.
+  if (capped_share > 0.0) {
+    EXPECT_GT(fast_admissions, 0u);
+  } else {
+    EXPECT_EQ(fast_admissions, 0u);
   }
 }
+
+/// A random tree: node i > 0 hangs off a uniformly drawn earlier node, so
+/// every pair of nodes has exactly one route and the test can name its
+/// links (and so each link's slack) without reaching into the router.
+struct RandomTree {
+  cs::Simulation sim;
+  cn::Network net{sim};
+  std::vector<cn::NodeId> parent;
+  std::vector<int> depth;
+  std::vector<double> capacity;  // per directed link id
+
+  explicit RandomTree(cu::Rng& rng, int n) {
+    for (int i = 0; i < n; ++i) {
+      const cn::NodeId id = net.add_node(std::string("t").append(std::to_string(i)));
+      if (i == 0) {
+        parent.push_back(-1);
+        depth.push_back(0);
+        continue;
+      }
+      const auto p = static_cast<cn::NodeId>(rng.uniform_u64(static_cast<std::uint64_t>(i)));
+      parent.push_back(p);
+      depth.push_back(depth[static_cast<std::size_t>(p)] + 1);
+      const double bw = rng.uniform(50.0, 400.0);
+      net.add_link(p, id, bw, 0.0);
+      capacity.push_back(bw);
+      capacity.push_back(bw);
+    }
+  }
+
+  std::vector<cn::LinkId> path(cn::NodeId a, cn::NodeId b) const {
+    std::vector<cn::LinkId> up;
+    std::vector<cn::LinkId> down;
+    while (a != b) {
+      if (depth[static_cast<std::size_t>(a)] >= depth[static_cast<std::size_t>(b)]) {
+        const cn::NodeId p = parent[static_cast<std::size_t>(a)];
+        up.push_back(net.find_link(a, p));
+        a = p;
+      } else {
+        const cn::NodeId p = parent[static_cast<std::size_t>(b)];
+        down.push_back(net.find_link(p, b));
+        b = p;
+      }
+    }
+    up.insert(up.end(), down.rbegin(), down.rend());
+    return up;
+  }
+
+  /// Capacity minus the sum of the link's current rates.
+  double slack(cn::LinkId l) const {
+    const double c = capacity[static_cast<std::size_t>(l)];
+    return c - net.link_utilization(l) * c;
+  }
+};
 
 }  // namespace
 
@@ -166,6 +237,78 @@ TEST(NetScaling, RandomChurnMatchesFullRecompute) {
     SCOPED_TRACE("40% capped arrivals");
     ASSERT_NO_FATAL_FAILURE(churn_matches_full_recompute(0xCA900000ULL, 0.4));
   }
+}
+
+// Fast admission must be invisible: after every capped arrival the live
+// rates equal a from-scratch fill bit for bit and every invariant holds,
+// including the bound between each link's load and its registry's
+// rate sum. Half the arrivals draw their cap within +-2 margins (1e-9 of
+// the capacity) of the tightest path link's slack, so both sides of the
+// guard's threshold are hit; uncapped arrivals hold links at saturation,
+// where capped starts must take the full fill.
+TEST(NetScaling, FastAdmissionMatchesFullFill) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::uint64_t fast = 0;
+  std::uint64_t full = 0;
+  std::uint64_t near_fast = 0;
+  std::uint64_t near_full = 0;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    cu::Rng rng(0xFA57AD00ULL + seed);
+    RandomTree w(rng, 4 + static_cast<int>(rng.uniform_u64(9)));
+    const auto n = static_cast<std::uint64_t>(w.parent.size());
+    for (int step = 0; step < 40; ++step) {
+      w.sim.run(w.sim.now());  // nothing else due now: slack is current
+      const auto src = static_cast<cn::NodeId>(rng.uniform_u64(n));
+      auto dst = static_cast<cn::NodeId>(rng.uniform_u64(n));
+      if (src == dst) dst = static_cast<cn::NodeId>((static_cast<std::uint64_t>(dst) + 1) % n);
+      // The guard's threshold is the path's least (slack - margin).
+      double slack = kInf;
+      double margin = 0.0;
+      for (cn::LinkId l : w.path(src, dst)) {
+        const double s = w.slack(l);
+        const double m = 1e-9 * w.capacity[static_cast<std::size_t>(l)];
+        if (s - m < slack - margin) {
+          slack = s;
+          margin = m;
+        }
+      }
+      cn::TransferOptions opts;
+      const double roll = rng.uniform();
+      const bool near = roll >= 0.5;
+      if (roll < 0.2) {
+        // uncapped: takes every link it crosses to saturation
+      } else if (!near) {
+        opts.rate_cap = rng.uniform(0.05, 0.6) * std::max(slack, 10.0);
+      } else {
+        opts.rate_cap = slack + rng.uniform(-2.0, 2.0) * margin;
+        if (opts.rate_cap <= 0.0) opts.rate_cap = margin;
+      }
+      const auto bytes = static_cast<cu::Bytes>(rng.uniform(2e3, 4e4));
+      const std::uint64_t fast_before = w.net.stats().fast_admissions;
+      const std::uint64_t capped_before = w.net.stats().capped_starts;
+      w.net.transfer(src, dst, bytes, opts);
+      w.sim.run(w.sim.now());  // the flow starts now (zero latency)
+      const bool took_fast = w.net.stats().fast_admissions > fast_before;
+      const bool capped = w.net.stats().capped_starts > capped_before;
+      fast += took_fast ? 1 : 0;
+      full += capped && !took_fast ? 1 : 0;
+      if (near && capped) (took_fast ? near_fast : near_full) += 1;
+      ASSERT_TRUE(w.net.rates_match_full_recompute())
+          << "seed " << seed << " step " << step << (took_fast ? " (fast)" : " (fill)");
+      w.net.check_invariants();
+      // Let some flows finish so registries drain and loads reset.
+      w.sim.run(w.sim.now() + rng.uniform(0.0, 40.0));
+      ASSERT_TRUE(w.net.rates_match_full_recompute()) << "seed " << seed << " step " << step;
+    }
+    w.sim.run();
+    ASSERT_EQ(w.net.active_flows(), 0u) << "seed " << seed;
+    w.net.check_invariants();
+  }
+  // Both admission paths ran, on both sides of the threshold.
+  EXPECT_GT(fast, 0u);
+  EXPECT_GT(full, 0u);
+  EXPECT_GT(near_fast, 0u);
+  EXPECT_GT(near_full, 0u);
 }
 
 // Lazy settlement must not lose or invent bytes: once the sim drains,

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "util/chart.hpp"
-#include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -160,32 +159,6 @@ TEST(Rng, ForkIndependence) {
   EXPECT_NE(parent.next_u64(), child.next_u64());
 }
 
-TEST(Histogram, MeanMinMax) {
-  cu::Histogram h(0, 100, 10);
-  for (double v : {10.0, 20.0, 30.0}) h.add(v);
-  EXPECT_DOUBLE_EQ(h.mean(), 20.0);
-  EXPECT_DOUBLE_EQ(h.min(), 10.0);
-  EXPECT_DOUBLE_EQ(h.max(), 30.0);
-  EXPECT_EQ(h.count(), 3u);
-}
-
-TEST(Histogram, QuantileRoughlyCorrect) {
-  cu::Histogram h(0, 1000, 100);
-  for (int i = 0; i < 1000; ++i) h.add(static_cast<double>(i));
-  EXPECT_NEAR(h.quantile(0.5), 500, 15);
-  EXPECT_NEAR(h.quantile(0.9), 900, 15);
-  EXPECT_NEAR(h.quantile(0.99), 990, 15);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  cu::Histogram h(0, 10, 5);
-  h.add(-5);
-  h.add(100);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.buckets().front(), 1u);
-  EXPECT_EQ(h.buckets().back(), 1u);
-}
-
 TEST(Table, RendersAllCells) {
   cu::Table t({"Step", "Time"});
   t.add_row({"Step 1", "37m"});
@@ -219,26 +192,4 @@ TEST(Chart, EmptyChartDoesNotCrash) {
   cu::AsciiChart chart;
   std::string out = chart.render("empty", "x");
   EXPECT_NE(out.find("no data"), std::string::npos);
-}
-
-TEST(Histogram, QuantileStaysWithinObservedRange) {
-  // Regression: interpolation inside the edge buckets (which absorb clamped
-  // out-of-range samples) used to extrapolate past the observed min/max.
-  cu::Histogram h(0, 10, 5);
-  h.add(-50);   // clamped into the first bucket
-  h.add(3.0);
-  h.add(100);   // clamped into the last bucket
-  for (double q : {0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0}) {
-    EXPECT_GE(h.quantile(q), h.min()) << "q=" << q;
-    EXPECT_LE(h.quantile(q), h.max()) << "q=" << q;
-  }
-}
-
-TEST(Histogram, QuantileExactAtExtremes) {
-  cu::Histogram h(0, 100, 10);
-  for (double v : {12.0, 55.0, 87.0}) h.add(v);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 12.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 87.0);
-  EXPECT_DOUBLE_EQ(h.quantile(-0.5), 12.0);  // q clamped
-  EXPECT_DOUBLE_EQ(h.quantile(1.5), 87.0);
 }

@@ -27,7 +27,9 @@ def gcov_records(build_dir):
     executed has no .gcda, and gcov then reports all of its lines and
     functions as not executed, which is what the table has to show.
     """
-    for root, _, files in os.walk(build_dir):
+    # gcov runs inside each object directory, so the walk must yield
+    # absolute paths or a relative build_dir would not resolve there.
+    for root, _, files in os.walk(os.path.abspath(build_dir)):
         for name in sorted(files):
             if not name.endswith(".gcno"):
                 continue
