@@ -36,28 +36,14 @@
 #include "bench_util.hpp"
 #include "chaos/chaos.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 using namespace chase;
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (value >> (byte * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t bits_of(double d) {
-  std::uint64_t u = 0;
-  static_assert(sizeof(u) == sizeof(d));
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
+using util::bits_of;
+using util::fnv1a;
 
 struct RunResult {
   bool finished = false;
@@ -66,7 +52,7 @@ struct RunResult {
   std::uint64_t files_fetched = 0;
   int retries = 0;
   std::size_t result_shards = 0;
-  std::uint64_t trace_hash = kFnvOffset;
+  std::uint64_t trace_hash = util::kFnvOffset;
   chaos::ChaosReport chaos;
 };
 

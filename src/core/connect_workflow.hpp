@@ -89,7 +89,7 @@ class ConnectWorkflow {
   ConnectWorkflow(Nautilus& bed, ConnectWorkflowParams params);
 
   wf::Workflow& workflow() { return *workflow_; }
-  const ConnectWorkflowParams& params() const { return params_; }
+  const ConnectWorkflowParams& params() const;
 
   /// Total files and bytes the run will move (after data_fraction scaling).
   std::uint64_t scaled_file_count() const;
@@ -109,8 +109,7 @@ class ConnectWorkflow {
   void build();
 
   Nautilus& bed_;
-  ConnectWorkflowParams params_;
-  std::shared_ptr<State> state_;
+  std::shared_ptr<State> state_;  // holds the params too
   std::unique_ptr<wf::Workflow> workflow_;
 };
 

@@ -40,7 +40,6 @@ Network::Network(sim::Simulation& sim) : sim_(sim) {
   fl_cap_.reserve(64);
   fl_old_.reserve(64);
   fl_new_.reserve(64);
-  fl_id_.reserve(64);
   fl_edge_end_.reserve(64);
   fl_frozen_.reserve(64);
   edges_.reserve(128);
@@ -268,7 +267,7 @@ TransferPtr Network::transfer(NodeId src, NodeId dst, Bytes bytes, TransferOptio
     return handle;
   }
 
-  double latency = opts.extra_latency;
+  double latency = 0.0;
   std::vector<LinkId> path;
   if (src != dst) {
     path = route(src, dst);
@@ -405,7 +404,6 @@ void Network::soa_clear() {
   fl_ptr_.clear();
   fl_cap_.clear();
   fl_old_.clear();
-  fl_id_.clear();
   fl_edge_end_.clear();
   edges_.clear();
   cap_list_.clear();
@@ -428,7 +426,6 @@ void Network::soa_add_full(Flow* f) {
   fl_ptr_.push_back(f);
   fl_cap_.push_back(f->rate_cap);
   fl_old_.push_back(f->rate);
-  fl_id_.push_back(f->id);
   for (LinkId l : f->path) {
     edges_.push_back(l);
     std::uint64_t& epoch = link_epoch_[l];
@@ -833,7 +830,6 @@ void Network::recompute_scope() {
             fl_ptr_.push_back(e.flow);
             fl_cap_.push_back(e.rate);  // its bottleneck lies outside S
             fl_old_.push_back(e.rate);
-            fl_id_.push_back(e.id);
             edges_.push_back(b);
             fl_edge_end_.push_back(static_cast<std::uint32_t>(edges_.size()));
           }

@@ -42,8 +42,6 @@ using util::Bytes;
 struct TransferOptions {
   /// Cap on this flow's rate (bytes/s), e.g. a single TCP stream's ceiling.
   double rate_cap = std::numeric_limits<double>::infinity();
-  /// Extra fixed startup delay beyond path latency (request handling etc.).
-  double extra_latency = 0.0;
 };
 
 /// Live handle for an in-flight (or finished) transfer.
@@ -390,7 +388,6 @@ class Network {
   std::vector<double> fl_cap_;  // effective cap (rate_cap, or rate if virtual)
   std::vector<double> fl_old_;  // live rate at collection time
   std::vector<double> fl_new_;  // fill result
-  std::vector<std::uint64_t> fl_id_;
   std::vector<std::uint32_t> fl_edge_end_;  // exclusive end into edges_
   std::vector<LinkId> edges_;               // flattened in-fill path links
   std::vector<std::uint8_t> fl_frozen_;

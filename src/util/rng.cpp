@@ -1,6 +1,7 @@
 #include "util/rng.hpp"
 
 #include <cmath>
+#include <cstring>
 
 namespace chase::util {
 
@@ -18,6 +19,21 @@ std::uint64_t hash_mix(std::uint64_t x) {
 
 std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) {
   return hash_mix(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
+}
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (value >> (byte * 8)) & 0xff;
+    h *= 0x100000001b3ULL;  // the 64-bit FNV prime
+  }
+  return h;
+}
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t u = 0;
+  static_assert(sizeof(u) == sizeof(d));
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
 }
 
 namespace {

@@ -21,6 +21,17 @@ std::uint64_t hash_mix(std::uint64_t x);
 /// Combine two values into one hash (for (pg, osd) style draws).
 std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b);
 
+/// FNV-1a's 64-bit offset basis: where a trace fingerprint starts.
+inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+/// Fold the 8 bytes of `value`, least significant first, into the FNV-1a
+/// hash `h`. Event traces are fingerprinted this way: tools/determinism_check,
+/// bench_chaos_connect and the tests that pin a trace.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t value);
+
+/// The IEEE-754 bits of `d`, so a double is hashed exactly.
+std::uint64_t bits_of(double d);
+
 /// xoshiro256** — fast, high-quality, reproducible PRNG.
 class Rng {
  public:

@@ -11,6 +11,7 @@
 #include "kube/cluster.hpp"
 #include "sim/event.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace cc = chase::cluster;
@@ -18,6 +19,7 @@ namespace ch = chase::chaos;
 namespace cn = chase::net;
 namespace co = chase::core;
 namespace cs = chase::sim;
+namespace cu = chase::util;
 
 TEST(ChaosInjector, PartitionAndHealLink) {
   co::Nautilus bed;
@@ -133,11 +135,91 @@ TEST(ChaosInjector, OsdFailureRemapsAndRecovers) {
   bed.ceph->check_invariants();  // replica placement clean after the churn
 }
 
+namespace {
+
+/// One CONNECT run's fingerprint: the FNV-1a hash of every event's
+/// (time, seq) in dispatch order, and the counts the pods' fault paths
+/// decide.
+struct ConnectTrace {
+  std::uint64_t events = 0;
+  std::uint64_t hash = cu::kFnvOffset;
+  std::uint64_t end_bits = 0;
+  int step1_retries = 0;
+  std::uint64_t files_fetched = 0;
+};
+
+void trace_events(cs::Simulation& sim, ConnectTrace* trace) {
+  sim.set_trace_hook([trace](double time, std::uint64_t seq) {
+    trace->hash = cu::fnv1a(cu::fnv1a(trace->hash, cu::bits_of(time)), seq);
+    ++trace->events;
+  });
+}
+
+/// Crashes whichever machine hosts Redis at `at`, for 30 s: every Redis
+/// round trip fails until the ReplicaSet has re-hosted the server elsewhere.
+void crash_redis_host(co::Nautilus& bed, double at) {
+  bed.sim.schedule(at, [&bed] {
+    for (std::size_t m = 0; m < bed.inventory.size(); ++m) {
+      const auto id = static_cast<cc::MachineId>(m);
+      if (bed.inventory.machine(id).net_node != bed.redis->node()) continue;
+      bed.inventory.set_up(id, false);
+      bed.sim.schedule(30.0, [&bed, id] { bed.inventory.set_up(id, true); });
+    }
+  });
+}
+
+/// tools/determinism_check's CONNECT run at its default scale (seed 1). With
+/// `chaos`, its --chaos plan runs too: a THREDDS uplink partition at
+/// `partition_at`, a Redis pod kill at `redis_kill_at`, an OSD failure and a
+/// crash of 20% of the GPU machines. The machine that hosts Redis crashes at
+/// each of `redis_host_crashes`.
+ConnectTrace run_connect(bool chaos, double partition_at = 120.0,
+                         double redis_kill_at = 400.0,
+                         const std::vector<double>& redis_host_crashes = {}) {
+  co::Nautilus bed;
+  ConnectTrace trace;
+  trace_events(bed.sim, &trace);
+  co::ConnectWorkflowParams params;
+  params.data_fraction = 0.005;
+  params.inference_gpus = 16;
+  params.straggler_seed = 1;
+  co::ConnectWorkflow cwf(bed, params);
+
+  std::unique_ptr<ch::ChaosInjector> injector;
+  if (chaos) {
+    ch::ChaosPlan plan(/*seed=*/2029);
+    const cn::LinkId uplink = bed.net.find_link(bed.thredds->node(), bed.site_switch(0));
+    plan.partition_link(partition_at, uplink, /*down_for=*/180.0);
+    plan.kill_pods(redis_kill_at, params.ns, {{"app", "redis"}});
+    plan.fail_osd(/*at=*/300.0, /*osd=*/3, /*down_for=*/300.0);
+    plan.crash_fraction(/*at=*/900.0, bed.gpu_machines(), /*fraction=*/0.20,
+                        /*down_for=*/600.0);
+    injector = std::make_unique<ch::ChaosInjector>(bed.sim, bed.net, bed.inventory, plan,
+                                                   bed.kube.get(), bed.ceph.get(),
+                                                   &bed.metrics);
+    injector->arm();
+  }
+
+  for (double at : redis_host_crashes) crash_redis_host(bed, at);
+
+  auto done = cwf.workflow().start(bed.sim);
+  EXPECT_TRUE(cs::run_until(bed.sim, done));
+  EXPECT_EQ(cwf.workflow().reports().size(), 4u);
+  trace.end_bits = cu::bits_of(bed.sim.now());
+  trace.step1_retries = cwf.workflow().reports().at(0).retries;
+  trace.files_fetched = cwf.files_fetched();
+  return trace;
+}
+
+}  // namespace
+
 TEST(ChaosInjector, ConnectStep1SurvivesWorkerNodeCrashes) {
   // End-to-end: the download step completes with every file accounted for
   // even when machines crash mid-download (pods rescheduled, queue leases
   // redelivered, slabs refetched).
   co::Nautilus bed;
+  ConnectTrace trace;
+  trace_events(bed.sim, &trace);
   co::ConnectWorkflowParams params;
   params.data_fraction = 0.01;
   params.steps = {1};
@@ -155,6 +237,45 @@ TEST(ChaosInjector, ConnectStep1SurvivesWorkerNodeCrashes) {
   EXPECT_TRUE(cwf.workflow().finished());
   EXPECT_EQ(cwf.files_fetched(), cwf.scaled_file_count());
   EXPECT_GT(injector.report().node_crashes, 0);
+  // The recovery itself is pinned: which leases redeliver, when the
+  // replacement pods run and how often they back off.
+  EXPECT_EQ(trace.events, 45941u);
+  EXPECT_EQ(trace.hash, 0xaa5174e61f763529ULL);
+  EXPECT_EQ(cwf.workflow().reports().at(0).retries, 40);
+}
+
+// The CONNECT pods' event traces and fault paths, pinned across commits
+// (DeterminismCheck.* only compares two runs of one binary). A rewrite of
+// the pod programs that reorders, adds or drops a single event or retry
+// moves the hash.
+TEST(ConnectWorkflow, TracesPinned) {
+  const ConnectTrace clean = run_connect(/*chaos=*/false);
+  EXPECT_EQ(clean.events, 45791u);
+  EXPECT_EQ(clean.hash, 0x9526fc750e694651ULL);
+  EXPECT_EQ(clean.end_bits, 0x4095e5e7a33dac86ULL);
+  EXPECT_EQ(clean.step1_retries, 0);
+  EXPECT_EQ(clean.files_fetched, 561u);
+
+  const ConnectTrace chaos = run_connect(/*chaos=*/true);
+  EXPECT_EQ(chaos.events, 47122u);
+  EXPECT_EQ(chaos.hash, 0x1160e324e5313755ULL);
+  EXPECT_EQ(chaos.end_bits, 0x40a13338e4f0f04dULL);
+  EXPECT_EQ(chaos.step1_retries, 0);
+  EXPECT_EQ(chaos.files_fetched, 561u);
+
+  // Step 1 ends at 34 s at this scale, before the --chaos plan partitions
+  // the uplink or kills Redis, and no Redis round trip fails in either run.
+  // Here Redis's host crashes five times while the coordinator seeds and the
+  // pods download, and the partition and pod kill land inside Step 1: the
+  // pods' Redis retries, lease redeliveries and THREDDS refetches all run.
+  const ConnectTrace step1 =
+      run_connect(/*chaos=*/true, /*partition_at=*/40.0, /*redis_kill_at=*/20.0,
+                  /*redis_host_crashes=*/{3.0, 8.0, 14.0, 22.0, 31.0});
+  EXPECT_EQ(step1.events, 50841u);
+  EXPECT_EQ(step1.hash, 0xa89d4da56ff41e2ULL);
+  EXPECT_EQ(step1.end_bits, 0x40a0f747370e617cULL);
+  EXPECT_EQ(step1.step1_retries, 129);
+  EXPECT_EQ(step1.files_fetched, 561u);
 }
 
 // --- site faults and index consistency under churn ---------------------------
@@ -162,7 +283,6 @@ TEST(ChaosInjector, ConnectStep1SurvivesWorkerNodeCrashes) {
 namespace {
 
 namespace ck = chase::kube;
-namespace cu = chase::util;
 
 /// Two-site kube bed over one shared cluster: per-site star fabrics joined
 /// by a WAN link, every machine registered with a per-site label.

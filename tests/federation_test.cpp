@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -11,6 +10,7 @@
 
 #include "kube/cluster.hpp"
 #include "kube/federation.hpp"
+#include "util/rng.hpp"
 
 namespace ck = chase::kube;
 namespace cc = chase::cluster;
@@ -202,23 +202,12 @@ TEST(SampledScheduler, SamplingStillSchedulesEverythingAndPinsHold) {
 
 namespace {
 
-// FNV-1a, the fingerprint scheme of tools/determinism_check.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+using cu::bits_of;
+using cu::fnv1a;
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t bits_of(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof u);
-  return u;
-}
+// The pinned placement hashes start from FNV-1a's offset basis with its
+// last decimal digit dropped (14695981039346656037 is cu::kFnvOffset).
+constexpr std::uint64_t kHashStart = 1469598103934665603ULL;
 
 ck::JobSpec pinned_job(const std::string& name, ck::ResourceList requests,
                        ck::Labels selector, int parallelism, int completions,
@@ -232,7 +221,7 @@ ck::JobSpec pinned_job(const std::string& name, ck::ResourceList requests,
 }
 
 struct PlacementRun {
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = kHashStart;
   int bound = 0;  // watcher notifications of bound pods
   std::map<std::string, int> reasons;  // terminal reasons of bound pods
   int tainted_intruders = 0;  // non-tolerating pods bound to the tainted node

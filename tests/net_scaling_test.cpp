@@ -30,7 +30,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -45,25 +44,12 @@ namespace cu = chase::util;
 
 namespace {
 
-// FNV-1a over the event trace: the same fingerprint scheme as
-// tools/determinism_check, reimplemented locally so the test stays a
-// plain gtest binary.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+using cu::bits_of;
+using cu::fnv1a;
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t bits(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof u);
-  return u;
-}
+// The replay hash starts from FNV-1a's offset basis with its last decimal
+// digit dropped (14695981039346656037 is cu::kFnvOffset).
+constexpr std::uint64_t kHashStart = 1469598103934665603ULL;
 
 /// A random connected topology: a spanning chain (guarantees one
 /// component) plus a few chords, with mixed bandwidths so bottlenecks land
@@ -355,9 +341,9 @@ std::uint64_t traced_run(bool with_flaps) {
   cu::Rng rng(0x5EED5EEDULL);
   RandomTopo w(rng, 8);
 
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kHashStart;
   w.sim.set_trace_hook([&h](double t, std::uint64_t seq) {
-    h = fnv1a(fnv1a(h, bits(t)), seq);
+    h = fnv1a(fnv1a(h, bits_of(t)), seq);
   });
 
   for (int i = 0; i < 60; ++i) {
@@ -426,7 +412,7 @@ TEST(NetScaling, ScopedRecomputeLeavesOtherComponentsUntouched) {
     while (churn->finish_time < 0.0 && sim.step()) {
     }
     // Bit-identical, not just close: A was never in B's recompute scope.
-    ASSERT_EQ(bits(net.node_tx_rate(a1)), bits(rate_before)) << "iter " << i;
+    ASSERT_EQ(bits_of(net.node_tx_rate(a1)), bits_of(rate_before)) << "iter " << i;
     ASSERT_TRUE(net.rates_match_full_recompute()) << "iter " << i;
   }
   sim.run();

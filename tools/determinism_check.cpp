@@ -52,24 +52,11 @@
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+using chase::util::bits_of;
+using chase::util::fnv1a;
+using chase::util::kFnvOffset;
+
 constexpr std::uint64_t kEventsPerBlock = 4096;
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (value >> (byte * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t bits_of(double d) {
-  std::uint64_t u = 0;
-  static_assert(sizeof(u) == sizeof(d));
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
 
 /// One run's fingerprint: a rolling hash over the full event trace, closed
 /// per-block so a mismatch can be localised to a window of events.
